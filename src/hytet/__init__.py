@@ -53,6 +53,7 @@ from .volume import (
     schlafli_residual,
     volume_derivative,
     volume_edges,
+    volume_profile,
     volume_regular,
     volume_sforza,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "volume_derivative",
     "volume_edges",
     "volume_monte_carlo",
+    "volume_profile",
     "volume_regular",
     "volume_sforza",
 ]

@@ -49,6 +49,7 @@ from .volume import (
     VolumeResult,
     schlafli_residual,
     volume_edges,
+    volume_profile,
     volume_sforza,
 )
 
@@ -319,39 +320,9 @@ def _cmd_volume(lengths, args, out, err, quad, mc_samples, seed) -> int:
 
 
 def _cmd_sweep(lengths, args, out, err, quad, mc_samples, seed) -> int:
-    report = exists(lengths)
-    if not report.exists:
-        raise ExistenceError("lengths do not bound a tetrahedron: "
-                             + ", ".join(report.failed), report=report)
     n = args.samples if args.samples is not None else DEFAULT_SWEEP_SAMPLES
-    if n < 2:
-        raise _UsageError("sweep needs at least 2 samples")
-    l1, l2 = report.bounds.l1, report.bounds.l2
-    ts = np.linspace(l1, l2, n)
-
-    from . import quadrature as _quad
-    from .volume import _EdgeIntegrand
-
-    integ = _EdgeIntegrand(lengths)
-    rows = []
-    volume_acc = 0.0
-    previous = l1
-    for idx, t in enumerate(ts):
-        t = float(t)
-        if idx == 0:
-            dvdt = math.inf
-            volume_acc = 0.0
-        else:
-            integ.bind(previous, t)
-            seg = _quad.integrate(
-                integ.quadrature_node, previous, t,
-                abs_tol=quad.abs_tol, rel_tol=quad.rel_tol,
-                max_levels=quad.max_levels,
-            )
-            volume_acc += seg.value
-            dvdt = -math.inf if idx == n - 1 else integ.derivative(t)
-            previous = t
-        rows.append({"t": t, "dVdt": dvdt, "V": volume_acc})
+    rows = [dict(zip(("t", "dVdt", "V"), row))
+            for row in volume_profile(lengths, n, quad)]
 
     if args.format == "json":
         doc = {"input": _echo(lengths), "command": "sweep", "rows": rows}

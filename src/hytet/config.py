@@ -26,9 +26,6 @@ class Tolerances:
     cos_clamp
         Cosines may exceed 1 in magnitude by at most this much before the
         value is considered inconsistent rather than a rounding artifact.
-    identity_rel
-        Relative tolerance for algebraic identity residuals (cofactor
-        expansion, determinant identities).
     pivot
         Pivot threshold below which the hyperboloid factorization reports a
         rank drop instead of extrapolating.
@@ -40,7 +37,6 @@ class Tolerances:
     boundary: float = 1e-12
     sqrt_clamp: float = 1e-10
     cos_clamp: float = 1e-12
-    identity_rel: float = 1e-10
     pivot: float = 1e-10
     bounds_match: float = 1e-12
 

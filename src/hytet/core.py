@@ -209,17 +209,12 @@ def _det_ones_plus(u) -> float:
     (short edges), where forming J + U first would destroy the cofactors.
     """
     n = len(u)
-    det = _det3 if n == 3 else _det4_plain
+    det = _det3 if n == 3 else det4
     total = det(u)
     for j in range(n):
         replaced = [row[:j] + [1.0] + row[j + 1:] for row in u]
         total += det(replaced)
     return total
-
-
-def _det4_plain(m) -> float:
-    return (m[0][0] * cofactor4(m, 0, 0) + m[0][1] * cofactor4(m, 0, 1)
-            + m[0][2] * cofactor4(m, 0, 2) + m[0][3] * cofactor4(m, 0, 3))
 
 
 def cofactors(E: EdgeMatrix) -> CofactorSet:

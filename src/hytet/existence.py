@@ -246,7 +246,17 @@ def sample_lengths(
     inequalities with a relative safety margin, then l34 is placed inside
     the admissible interval with the same relative margin, so every output
     is non-degenerate.  Used by the test harness and the validation CLI.
+
+    A draw is accepted only when the l34 interval is wider than
+    ``4 * margin * max(l2, 1)``, while its width stays below both
+    ``l2 <= l13 + l14 < 2 * hi`` and ``max(l2, 1)``; arguments for which
+    no draw can pass raise DomainError instead of looping forever.
     """
+    if 2.0 * hi <= 4.0 * margin or margin >= 0.25:
+        raise DomainError(
+            f"no draw can pass the width test with hi = {hi!r} and "
+            f"margin = {margin!r}: need 2 * hi > 4 * margin and margin < 0.25"
+        )
     while True:
         l12 = float(rng.uniform(lo, hi))
         l13 = float(rng.uniform(lo, hi))

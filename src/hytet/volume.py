@@ -54,8 +54,10 @@ where F(t) is the Gram matrix of the outward face normals (entry (i, j) is
 angle sits in the (1, 2) slot), c(t) is its (3, 4) cofactor, and t0 is the
 flat root of det F(t) = 0 lying above theta_34: hyperbolic dihedral angles
 are smaller than their flat counterparts, so opening the hinge toward t0
-deflates the tetrahedron to zero volume.  The root is bracketed on a grid
-over (theta_34, pi) and polished by bisection.
+deflates the tetrahedron to zero volume.  With y = cos t, det F and c(t)
+are quadratics in y (the variable entry fills the (1, 2) and (2, 1) slots,
+and the (3, 4) minor keeps both), so t0 has a closed form and each
+quadrature node costs two Horner evaluations.
 
 Regular specialization.  For all six lengths equal to a, the edge integral
 collapses to the closed form
@@ -74,7 +76,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .angles import DihedralAngles
 from .config import DEFAULT_TOL, Tolerances
@@ -94,6 +95,7 @@ __all__ = [
     "VolumeResult",
     "volume_derivative",
     "volume_edges",
+    "volume_profile",
     "volume_regular",
     "volume_sforza",
     "schlafli_residual",
@@ -206,15 +208,19 @@ class _EdgeIntegrand:
         self.om1_at1 = d23
         self.om2_at1 = d13
         # distances from the current integration limits to the flat roots;
-        # set per integral by bind
+        # set by integral
         self.pad_lo = 0.0
         self.pad_hi = 0.0
         self.guarded_nodes = 0
 
-    def bind(self, lower: float, upper: float) -> None:
-        """Declare the integration interval [lower, upper] within [l1, l2]."""
+    def integral(self, lower: float, upper: float, cfg: QuadratureConfig):
+        """Quadrature of dV/dt over [lower, upper] within [l1, l2]."""
         self.pad_lo = lower - self.l1
         self.pad_hi = self.l2 - upper
+        return quadrature.integrate(
+            self.quadrature_node, lower, upper,
+            abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, max_levels=cfg.max_levels,
+        )
 
     def neg_delta_at(self, x: float) -> float:
         return -self.slope * (x - self.x_lo) * (x - self.x_hi)
@@ -222,9 +228,6 @@ class _EdgeIntegrand:
     def evaluate(self, t: float, neg_delta: float) -> float:
         """dV/dt at parameter t given a precomputed -Delta > 0."""
         xm1 = 2.0 * math.sinh(0.5 * t) ** 2
-        return self._assemble(t, xm1, neg_delta)
-
-    def _assemble(self, t: float, xm1: float, neg_delta: float) -> float:
         a = self
         c11 = a.c11_at1 + xm1 * (a.c11_d1 - xm1)
         c22 = a.c22_at1 + xm1 * (a.c22_d1 - xm1)
@@ -259,8 +262,7 @@ class _EdgeIntegrand:
         if neg_delta <= 0.0:
             self.guarded_nodes += 1
             return 0.0
-        xm1 = 2.0 * math.sinh(0.5 * t) ** 2
-        return self._assemble(t, xm1, neg_delta)
+        return self.evaluate(t, neg_delta)
 
     def derivative(self, t: float) -> float:
         """dV/dt at an interior parameter value, with domain checks."""
@@ -281,10 +283,21 @@ class _EdgeIntegrand:
         return value
 
 
-def _check_bounds_consistency(
-    integ: _EdgeIntegrand, lengths: EdgeLengths, tol: Tolerances
-) -> None:
-    """The factored roots must match the closed-form fold bounds."""
+def _edge_integrand(lengths: EdgeLengths, tol: Tolerances):
+    """Existence report and integrand of lengths that bound a tetrahedron.
+
+    Raises ExistenceError (with the report attached) when they do not, and
+    NumericalError when the integrand's factored roots disagree with the
+    closed-form fold bounds.
+    """
+    report = exists(lengths, tol)
+    if not report.exists:
+        raise ExistenceError(
+            "no compact hyperbolic tetrahedron has these edge lengths: "
+            + ", ".join(report.failed),
+            report=report,
+        )
+    integ = _EdgeIntegrand(lengths, tol)
     bounds = l34_bounds(
         lengths.l12, lengths.l13, lengths.l14, lengths.l23, lengths.l24, tol
     )
@@ -296,6 +309,7 @@ def _check_bounds_consistency(
             f"factored ({integ.x_lo!r}, {integ.x_hi!r}) vs closed form "
             f"({bounds.C - bounds.S!r}, {bounds.C + bounds.S!r})"
         )
+    return report, integ
 
 
 def volume_derivative(
@@ -348,15 +362,7 @@ def volume_edges(
     boundary return an exact zero for l34 at the lower bound, and integrate
     normally otherwise (the volume also vanishes at the upper bound).
     """
-    report = exists(lengths, tol)
-    if not report.exists:
-        raise ExistenceError(
-            "no compact hyperbolic tetrahedron has these edge lengths: "
-            + ", ".join(report.failed),
-            report=report,
-        )
-    integ = _EdgeIntegrand(lengths, tol)
-    _check_bounds_consistency(integ, lengths, tol)
+    report, integ = _edge_integrand(lengths, tol)
 
     diagnostics = {
         "l1": integ.l1,
@@ -368,14 +374,36 @@ def volume_edges(
         diagnostics["guarded_nodes"] = 0
         return VolumeResult(0.0, 0.0, 0, "edge_integral", diagnostics)
 
-    upper = min(lengths.l34, integ.l2)
-    integ.bind(integ.l1, upper)
-    outcome = quadrature.integrate(
-        integ.quadrature_node, integ.l1, upper,
-        abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, max_levels=cfg.max_levels,
-    )
+    outcome = integ.integral(integ.l1, min(lengths.l34, integ.l2), cfg)
     diagnostics["guarded_nodes"] = integ.guarded_nodes
     return _result_from_quadrature(outcome, "edge_integral", cfg, diagnostics)
+
+
+def volume_profile(
+    lengths: EdgeLengths,
+    samples: int,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: Tolerances = DEFAULT_TOL,
+) -> list[tuple[float, float, float]]:
+    """Rows (t, dV/dt, V) on ``samples`` equally spaced values of l34.
+
+    The grid runs between the integrand's own flat roots l1 and l2, where V
+    vanishes and dV/dt is reported as +inf and -inf; V sums one quadrature
+    per segment.  ``lengths.l34`` takes part only in the existence check.
+    """
+    _, integ = _edge_integrand(lengths, tol)
+    if samples < 2:
+        raise DomainError(f"a volume profile needs at least 2 samples, got {samples!r}")
+    l1, l2 = integ.l1, integ.l2
+    step = (l2 - l1) / (samples - 1)
+    rows = [(l1, math.inf, 0.0)]
+    for k in range(1, samples):
+        lower, _, volume = rows[-1]
+        last = k == samples - 1
+        t = l2 if last else l1 + k * step
+        volume += integ.integral(lower, t, cfg).value
+        rows.append((t, -math.inf if last else integ.derivative(t), volume))
+    return rows
 
 
 def volume_regular(
@@ -414,29 +442,6 @@ def volume_regular(
     return _result_from_quadrature(outcome, "regular", cfg, diagnostics)
 
 
-def _face_gram_builder(angles: DihedralAngles) -> Callable[[float], list]:
-    """Gram matrix of outward face normals as a function of the 3-4 angle.
-
-    Entry (i, j) couples faces i and j, whose shared edge joins the two
-    complementary vertices, so the angle along edge 3-4 occupies the (1, 2)
-    slot and the cofactor paired with it by the determinant identities is
-    the (3, 4) one.
-    """
-    fixed = {}
-    for (i, j) in EDGE_PAIRS:
-        k, l = opposite_pair(i, j)
-        fixed[(i, j)] = -math.cos(angles.angle(k, l))
-
-    def build(t: float) -> list:
-        g = [[1.0] * 4 for _ in range(4)]
-        for (i, j), v in fixed.items():
-            g[i][j] = g[j][i] = v
-        g[0][1] = g[1][0] = -math.cos(t)
-        return g
-
-    return build
-
-
 def volume_sforza(
     angles: DihedralAngles,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
@@ -444,23 +449,29 @@ def volume_sforza(
 ) -> VolumeResult:
     """Volume from dihedral angles by the one-angle logarithmic integral.
 
-    The flat root t0 of det F(t) = 0 is bracketed on a 256-point grid over
-    (theta_34, pi) and bisected to full precision; among multiple roots the
-    smallest one above theta_34 is the boundary of the negative-determinant
-    component containing the input, which is the flat configuration the
-    volume vanishes at.  If det F is already nonnegative at theta_34 the
-    angles are inconsistent (or exactly flat, which returns zero volume).
+    det F and its (3, 4) cofactor are quadratics in y = cos t, fitted
+    exactly from their values at y = -1, 0, 1.  The flat root t0, where the
+    volume vanishes, is the arccos of the largest root of det F in
+    [-1, cos theta_34), from the stable quadratic formula.  If det F is
+    already nonnegative at theta_34, or has no such root, the angles are
+    inconsistent (or exactly flat, which returns zero volume).
     """
     for key, th in angles.as_dict().items():
         if not 0.0 <= th <= math.pi:
             raise DomainError(f"angle {key} = {th!r} outside [0, pi]")
     th34 = angles.th34
-    build = _face_gram_builder(angles)
+    # face Gram matrix: faces i and j share the edge joining the other two
+    # vertices, so the 3-4 angle sits in the (1, 2) slot
+    g = [[1.0] * 4 for _ in range(4)]
+    for (i, j) in EDGE_PAIRS:
+        g[i][j] = g[j][i] = -math.cos(angles.angle(*opposite_pair(i, j)))
 
-    def det_f(t: float) -> float:
-        return det4(build(t))
+    def gram_at(y: float) -> list:
+        g[0][1] = g[1][0] = -y
+        return g
 
-    d_start = det_f(th34)
+    y_start = math.cos(th34)
+    d_start = det4(gram_at(y_start))
     if d_start >= 0.0:
         if d_start <= tol.boundary * 16.0:
             # flat (zero-curvature) data: the integral is empty
@@ -471,41 +482,32 @@ def volume_sforza(
             "the given angles; not a compact hyperbolic tetrahedron"
         )
 
-    # bracket the flat root above th34
-    grid = 256
-    top = math.pi - 1e-9
-    lo = th34
-    hi = None
-    scan_evals = 0
-    for k in range(1, grid + 1):
-        t = th34 + (top - th34) * k / grid
-        scan_evals += 1
-        if det_f(t) >= 0.0:
-            hi = t
-            break
-        lo = t
-    if hi is None:
+    (dm, cm), (d0, c0), (dp, cp) = (
+        (det4(gram_at(y)), cofactor4(g, 2, 3)) for y in (-1.0, 0.0, 1.0)
+    )
+    d2, d1 = 0.5 * (dp + dm) - d0, 0.5 * (dp - dm)
+    c2, c1 = 0.5 * (cp + cm) - c0, 0.5 * (cp - cm)
+
+    # d2 = -sin^2(theta_12) <= 0, so det F is negative outside its roots
+    # y_lo <= y_hi; the flat root is y_hi when y_start lies above it, and
+    # clamping to y_start absorbs rounding when theta_34 sits on the root
+    disc = d1 * d1 - 4.0 * d2 * d0
+    if d2 >= 0.0 or disc < 0.0:
+        y_lo = y_hi = math.inf
+    else:
+        q = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
+        y_lo, y_hi = sorted((q / d2, d0 / q if q else 0.0))
+    if not (y_lo < y_start and y_hi >= -1.0):
         raise InconsistentAnglesError(
             "no flat root of the Gram determinant above the 3-4 angle; "
             "the angles do not bound a compact tetrahedron"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if det_f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        scan_evals += 1
-        if hi - lo <= 1e-14:
-            break
-    t0 = 0.5 * (lo + hi)
+    t0 = math.acos(min(y_hi, y_start))
 
     def f(t: float, dist_lo: float, dist_hi: float) -> float:
-        g = build(t)
-        d = det4(g)
-        c34 = cofactor4(g, 2, 3)
+        y = math.cos(t)
+        d = (d2 * y + d1) * y + d0
+        c34 = (c2 * y + c1) * y + c0
         r = math.sqrt(max(-d, 0.0)) * math.sin(t)
         if c34 <= r:
             raise InconsistentAnglesError(
@@ -514,13 +516,10 @@ def volume_sforza(
             )
         return 0.25 * math.log((c34 - r) / (c34 + r))
 
-    outcome = quadrature.integrate(
-        f, th34, t0,
-        abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, max_levels=cfg.max_levels,
-    )
     # the antiderivative runs from t0 downward
-    outcome = quadrature.QuadratureOutcome(
-        -outcome.value, outcome.error, outcome.evaluations + scan_evals
+    outcome = quadrature.integrate(
+        f, t0, th34,
+        abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, max_levels=cfg.max_levels,
     )
     diagnostics = {"t0": t0, "det_at_th34": d_start}
     return _result_from_quadrature(outcome, "sforza", cfg, diagnostics)

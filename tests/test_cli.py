@@ -156,15 +156,21 @@ class TestSweep:
         assert all(u < v for u, v in zip(t_vals, t_vals[1:]))
         assert float(lines[2].split(",")[1]) > 0
 
-    def test_cumulative_volume_matches_direct(self):
-        code, out, _ = invoke(["sweep", "--samples", "9", "--edges", ONES])
+    @pytest.mark.parametrize("edges", [
+        (1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+        (2.965137128963416, 1.3027372332455953, 3.620365722713066,
+         2.7711659744596884, 3.3277033833681555, 3.444634108222735),
+    ], ids=["all_ones", "scalene"])
+    def test_cumulative_volume_matches_direct(self, edges):
+        inline = ",".join(f"{k}={v!r}" for k, v in
+                          zip(("l12", "l13", "l14", "l23", "l24", "l34"), edges))
+        code, out, _ = invoke(["sweep", "--samples", "9", "--edges", inline])
+        assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         from hytet import EdgeLengths, volume_edges
 
         for t, _, v in rows[1:-1]:
-            direct = volume_edges(
-                EdgeLengths(1, 1, 1, 1, 1, float(t))
-            ).value
+            direct = volume_edges(EdgeLengths(*edges[:5], float(t))).value
             assert float(v) == pytest.approx(direct, abs=1e-8)
 
     def test_json_format(self):

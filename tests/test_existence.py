@@ -138,3 +138,16 @@ class TestExists:
                     assert abs(C.delta) < 1e-10
                 else:
                     assert C.delta < -1e-8
+
+
+class TestSampleLengths:
+    @pytest.mark.parametrize("kwargs", [
+        dict(lo=0.0015, hi=0.0045),
+        dict(hi=0.2),
+        dict(margin=0.25),
+    ])
+    def test_unsatisfiable_width_test_rejected_up_front(self, kwargs):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError):
+            sample_lengths(rng, **kwargs)
+        assert rng.random() == np.random.default_rng(0).random()

@@ -154,6 +154,21 @@ class TestVolumeSforza:
         )
         assert volume_sforza(shifted).value == pytest.approx(0.0, abs=1e-9)
 
+    def test_angle_within_rounding_of_flat_root_gives_zero(self, random_cases):
+        # det4 and the fitted quadratic may disagree on which side of the
+        # root such an angle lies; either way the volume must vanish
+        for L in random_cases:
+            th = angles_of(L)
+            t0 = volume_sforza(th).diagnostics["t0"]
+            for toward in (0.0, math.pi):
+                t = t0
+                for _ in range(3):
+                    shifted = DihedralAngles(
+                        th.th12, th.th13, th.th14, th.th23, th.th24, t
+                    )
+                    assert volume_sforza(shifted).value == pytest.approx(0.0, abs=1e-9)
+                    t = math.nextafter(t, toward)
+
     def test_euclidean_angles_give_zero(self):
         th = DihedralAngles(*([math.acos(1.0 / 3.0)] * 6))
         res = volume_sforza(th)
@@ -165,6 +180,17 @@ class TestVolumeSforza:
         th = DihedralAngles(*([math.pi / 2] * 6))
         with pytest.raises(InconsistentAnglesError):
             volume_sforza(th)
+
+    @pytest.mark.parametrize("edges", [
+        (5.734164915134681, 5.498360392763894, 6.142752134274104,
+         4.696252597847269, 4.829394725441337, 2.555174727030964),
+        (8.372096252066987, 2.9625028317388153, 9.134369487928902,
+         7.005747590390229, 7.88916998577378, 7.7343787359515455),
+    ])
+    def test_flat_root_found_where_a_grid_scan_misses_it(self, edges):
+        L = EdgeLengths(*edges)
+        vs = volume_sforza(angles_of(L)).value
+        assert abs(vs - volume_edges(L).value) < 1e-10
 
     def test_random_cases_agree(self, rng):
         for _ in range(10):
