@@ -383,7 +383,6 @@ def volume_profile(
     lengths: EdgeLengths,
     samples: int,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> list[tuple[float, float, float]]:
     """Rows (t, dV/dt, V) on ``samples`` equally spaced values of l34.
 
@@ -391,7 +390,7 @@ def volume_profile(
     vanishes and dV/dt is reported as +inf and -inf; V sums one quadrature
     per segment.  ``lengths.l34`` takes part only in the existence check.
     """
-    _, integ = _edge_integrand(lengths, tol)
+    _, integ = _edge_integrand(lengths, DEFAULT_TOL)
     if samples < 2:
         raise DomainError(f"a volume profile needs at least 2 samples, got {samples!r}")
     l1, l2 = integ.l1, integ.l2

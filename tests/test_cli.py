@@ -173,6 +173,17 @@ class TestSweep:
             direct = volume_edges(EdgeLengths(*edges[:5], float(t))).value
             assert float(v) == pytest.approx(direct, abs=1e-8)
 
+    def test_refuses_what_volume_refuses(self):
+        # At a = 0.01 the integrand's factored roots miss the closed-form
+        # fold bounds, and volume exits 70 (ROADMAP item 2). sweep runs the
+        # same check, so it exits with the same code and prints no rows.
+        short = "l12=0.01,l13=0.01,l14=0.01,l23=0.01,l24=0.01,l34=0.01"
+        code, out, err = invoke(["sweep", "--samples", "3", "--edges", short])
+        v_code, _, v_err = invoke(["volume", "--edges", short])
+        assert code == v_code == 70
+        assert out == ""
+        assert err == v_err
+
     def test_json_format(self):
         code, doc, _ = invoke_json(
             ["sweep", "--samples", "5", "--format", "json", "--edges", ONES]
