@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .core import EDGE_PAIRS, CofactorSet, opposite_pair
 from .errors import DomainError, NotATetrahedronError, NumericalError
 
@@ -73,9 +73,7 @@ class GramMatrix:
     g: np.ndarray
 
 
-def dihedral_angles(
-    C: CofactorSet, tol: Tolerances = DEFAULT_TOL
-) -> DihedralAngles:
+def dihedral_angles(C: CofactorSet) -> DihedralAngles:
     """All six dihedral angles from a cofactor set.
 
     Requires every diagonal cofactor to be positive; a nonpositive one
@@ -98,7 +96,7 @@ def dihedral_angles(
         i, j = opposite_pair(k, l)
         cos_th = -C.entry(i, j) / math.sqrt(diag[i] * diag[j])
         if abs(cos_th) > 1.0:
-            if abs(cos_th) > 1.0 + tol.cos_clamp:
+            if abs(cos_th) > 1.0 + DEFAULT_TOL.cos_clamp:
                 raise NumericalError(
                     f"cosine of the angle along edge {k + 1}-{l + 1} is "
                     f"{cos_th!r}, inconsistent beyond tolerance"

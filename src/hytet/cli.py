@@ -25,6 +25,7 @@ import numpy as np
 from .angles import dihedral_angles
 from .core import (
     EDGE_KEYS,
+    CofactorSet,
     EdgeLengths,
     cofactors,
     edge_matrix_from_lengths,
@@ -248,8 +249,7 @@ def _volume_block(res: VolumeResult) -> dict:
     }
 
 
-def _angles_block(lengths: EdgeLengths) -> tuple[dict, object]:
-    C = cofactors(edge_matrix_from_lengths(lengths))
+def _angles_block(C: CofactorSet) -> tuple[dict, object]:
     th = dihedral_angles(C)
     radians = th.as_dict()
     block = {
@@ -264,6 +264,15 @@ def _angles_block(lengths: EdgeLengths) -> tuple[dict, object]:
     return {"angles": block, "diagnostics": diagnostics}, th
 
 
+def _require_tetrahedron(lengths: EdgeLengths):
+    """Existence report of lengths that bound a tetrahedron; raises otherwise."""
+    report = exists(lengths)
+    if not report.exists:
+        raise ExistenceError("lengths do not bound a tetrahedron: "
+                             + ", ".join(report.failed), report=report)
+    return report
+
+
 def _cmd_check(lengths, args, out, err, quad, mc_samples, seed) -> int:
     report = exists(lengths)
     doc = {
@@ -276,11 +285,8 @@ def _cmd_check(lengths, args, out, err, quad, mc_samples, seed) -> int:
 
 
 def _cmd_angles(lengths, args, out, err, quad, mc_samples, seed) -> int:
-    report = exists(lengths)
-    if not report.exists:
-        raise ExistenceError("lengths do not bound a tetrahedron: "
-                             + ", ".join(report.failed), report=report)
-    blocks, _ = _angles_block(lengths)
+    report = _require_tetrahedron(lengths)
+    blocks, _ = _angles_block(cofactors(edge_matrix_from_lengths(lengths)))
     doc = {
         "input": _echo(lengths),
         "command": "angles",
@@ -301,10 +307,11 @@ def _cmd_volume(lengths, args, out, err, quad, mc_samples, seed) -> int:
         "volume": {"edge_integral": _volume_block(res)},
     }
     if args.validate:
-        blocks, th = _angles_block(lengths)
+        E = edge_matrix_from_lengths(lengths)
+        blocks, th = _angles_block(cofactors(E))
         doc.update(blocks)
         sf = volume_sforza(th, quad)
-        emb = embed_vertices(edge_matrix_from_lengths(lengths))
+        emb = embed_vertices(E)
         mc = volume_monte_carlo(emb, MonteCarloConfig(seed=seed, samples=mc_samples))
         doc["volume"]["sforza"] = _volume_block(sf)
         doc["volume"]["monte_carlo"] = _volume_block(mc)
@@ -341,16 +348,13 @@ def _csv_number(v: float) -> str:
 
 
 def _cmd_validate(lengths, args, out, err, quad, mc_samples, seed) -> int:
-    report = exists(lengths)
-    if not report.exists:
-        raise ExistenceError("lengths do not bound a tetrahedron: "
-                             + ", ".join(report.failed), report=report)
+    report = _require_tetrahedron(lengths)
 
     E = edge_matrix_from_lengths(lengths)
     C = cofactors(E)
     jac = jacobi_residuals(E, C).max_relative
 
-    blocks, th = _angles_block(lengths)
+    blocks, th = _angles_block(C)
     emb = embed_vertices(E)
     th_geo = dihedral_angles_geometric(emb)
     angle_gap = max(
@@ -467,13 +471,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once per process: argparse keeps no state between parse_args calls
+_PARSER = _build_parser()
+
+
 def run(argv: list[str], stdout=None, stderr=None) -> int:
     """Execute the CLI; returns the exit code instead of exiting."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         doc = _load_document(args)
         lengths = _lengths_from_document(doc)
         quad, mc_samples, seed = _settings(args, doc)

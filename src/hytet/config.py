@@ -1,9 +1,9 @@
 """Centralized numerical tolerances.
 
 All magic thresholds used across the package live in one frozen record so
-they can be audited and, where needed, overridden per call.  Everything is
-double precision; the defaults assume inputs of moderate size (edge lengths
-up to a few units).
+they can be audited in one place; every module reads ``DEFAULT_TOL``.
+Everything is double precision; the defaults assume inputs of moderate size
+(edge lengths up to a few units).
 """
 
 from __future__ import annotations

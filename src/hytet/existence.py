@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .core import EdgeLengths
 from .errors import DomainError, NotATetrahedronError, NumericalError
 
@@ -89,13 +89,11 @@ class ExistenceReport:
     failed: tuple[str, ...]
 
 
-def _near_zero(slack: float, scale: float, tol: Tolerances) -> bool:
-    return abs(slack) <= tol.boundary * (1.0 + abs(scale))
+def _near_zero(slack: float, scale: float) -> bool:
+    return abs(slack) <= DEFAULT_TOL.boundary * (1.0 + abs(scale))
 
 
-def triangle_checks(
-    lengths: EdgeLengths, tol: Tolerances = DEFAULT_TOL
-) -> tuple[bool, bool, dict[str, float]]:
+def triangle_checks(lengths: EdgeLengths) -> tuple[bool, bool, dict[str, float]]:
     """Test the two face-triangle inequalities, with signed slacks.
 
     Returns (triangle 1-2-3 ok, triangle 1-2-4 ok, slacks).  A slack within
@@ -110,18 +108,13 @@ def triangle_checks(
     scale = max(lengths.as_tuple())
 
     def ok(*names: str) -> bool:
-        return all(slacks[n] >= 0 or _near_zero(slacks[n], scale, tol) for n in names)
+        return all(slacks[n] >= 0 or _near_zero(slacks[n], scale) for n in names)
 
     return ok("tri_123_sum", "tri_123_diff"), ok("tri_124_sum", "tri_124_diff"), slacks
 
 
 def l34_bounds(
-    l12: float,
-    l13: float,
-    l14: float,
-    l23: float,
-    l24: float,
-    tol: Tolerances = DEFAULT_TOL,
+    l12: float, l13: float, l14: float, l23: float, l24: float
 ) -> L34Bounds:
     """Bounds of the admissible l34 interval from the other five lengths.
 
@@ -134,7 +127,7 @@ def l34_bounds(
     if l12 <= 0:
         raise DomainError("l34 bounds need a positive hinge length l12")
     probe = EdgeLengths(l12=l12, l13=l13, l14=l14, l23=l23, l24=l24, l34=0.0)
-    ok123, ok124, slacks = triangle_checks(probe, tol)
+    ok123, ok124, slacks = triangle_checks(probe)
     if not (ok123 and ok124):
         bad = [k for k, v in slacks.items() if v < 0]
         raise NotATetrahedronError(
@@ -152,7 +145,7 @@ def l34_bounds(
     def sqrt_arg(value: float, scale: float) -> float:
         nonlocal clamped
         if value < 0:
-            if value < -tol.sqrt_clamp * (1.0 + scale):
+            if value < -DEFAULT_TOL.sqrt_clamp * (1.0 + scale):
                 raise NumericalError(
                     f"square-root argument {value!r} is negative beyond tolerance"
                 )
@@ -173,7 +166,7 @@ def l34_bounds(
     ch_l1 = C - S
     ch_l2 = C + S
     if ch_l1 < 1.0:
-        if ch_l1 < 1.0 - tol.sqrt_clamp * (1.0 + abs(C)):
+        if ch_l1 < 1.0 - DEFAULT_TOL.sqrt_clamp * (1.0 + abs(C)):
             raise NumericalError(
                 f"lower bound cosh value {ch_l1!r} fell below 1 beyond tolerance"
             )
@@ -187,40 +180,40 @@ def l34_bounds(
     )
 
 
-def exists(lengths: EdgeLengths, tol: Tolerances = DEFAULT_TOL) -> ExistenceReport:
+def exists(lengths: EdgeLengths) -> ExistenceReport:
     """Full existence test.  Failures are report fields, never exceptions.
 
     A hinge length l12 within tolerance of zero makes the fold construction
     collapse (vertices 1 and 2 coincide); such inputs are reported as
     nonexistent and degenerate.
     """
-    ok123, ok124, slacks = triangle_checks(lengths, tol)
+    ok123, ok124, slacks = triangle_checks(lengths)
     scale = max(lengths.as_tuple())
 
-    failed = [k for k, v in slacks.items() if v < 0 and not _near_zero(v, scale, tol)]
+    failed = [k for k, v in slacks.items() if v < 0 and not _near_zero(v, scale)]
     bounds = None
     l34_in_range = False
-    if lengths.l12 <= tol.boundary:
+    if lengths.l12 <= DEFAULT_TOL.boundary:
         failed.append("l12_positive")
     elif ok123 and ok124:
         bounds = l34_bounds(
-            lengths.l12, lengths.l13, lengths.l14, lengths.l23, lengths.l24, tol
+            lengths.l12, lengths.l13, lengths.l14, lengths.l23, lengths.l24
         )
         slacks["l34_lower"] = lengths.l34 - bounds.l1
         slacks["l34_upper"] = bounds.l2 - lengths.l34
         l34_in_range = all(
-            slacks[k] >= 0 or _near_zero(slacks[k], scale, tol)
+            slacks[k] >= 0 or _near_zero(slacks[k], scale)
             for k in ("l34_lower", "l34_upper")
         )
         if not l34_in_range:
             failed.extend(
                 k for k in ("l34_lower", "l34_upper")
-                if slacks[k] < 0 and not _near_zero(slacks[k], scale, tol)
+                if slacks[k] < 0 and not _near_zero(slacks[k], scale)
             )
 
     tet_exists = ok123 and ok124 and l34_in_range and "l12_positive" not in failed
-    degenerate = any(_near_zero(v, scale, tol) for v in slacks.values())
-    if lengths.l12 <= tol.boundary:
+    degenerate = any(_near_zero(v, scale) for v in slacks.values())
+    if lengths.l12 <= DEFAULT_TOL.boundary:
         degenerate = True
     return ExistenceReport(
         tri_123_ok=ok123,

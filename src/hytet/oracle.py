@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import DihedralAngles
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .core import EDGE_PAIRS, EdgeLengths, EdgeMatrix
 from .errors import DegenerateError, DomainError, NotATetrahedronError
 from .volume import VolumeResult
@@ -101,9 +101,7 @@ class MonteCarloConfig:
             raise DomainError(f"chunk must be >= 1, got {self.chunk!r}")
 
 
-def embed_vertices(
-    E: EdgeMatrix, tol: Tolerances = DEFAULT_TOL
-) -> VertexEmbedding:
+def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:
     """Realize an edge matrix as vertices on the hyperboloid.
 
     Vertex 1 is pinned at (1, 0, 0, 0) and each later vertex is solved from
@@ -120,8 +118,8 @@ def embed_vertices(
     scale = float(np.max(a))
 
     def pivot(value: float, rank: int) -> float:
-        if value <= tol.pivot * scale * scale:
-            if value < -tol.sqrt_clamp * scale * scale:
+        if value <= DEFAULT_TOL.pivot * scale * scale:
+            if value < -DEFAULT_TOL.sqrt_clamp * scale * scale:
                 raise NotATetrahedronError(
                     "edge matrix is not realizable: a hyperboloid pivot is "
                     f"negative ({value!r})"
@@ -153,9 +151,7 @@ def embed_vertices(
     return VertexEmbedding(vertices=v, gram_resid=resid)
 
 
-def dihedral_angles_geometric(
-    emb: VertexEmbedding, tol: Tolerances = DEFAULT_TOL
-) -> DihedralAngles:
+def dihedral_angles_geometric(emb: VertexEmbedding) -> DihedralAngles:
     """Dihedral angles from coordinates via the vertex-sphere construction.
 
     For the edge joining vertices i and j, work at vertex j: the face
@@ -176,7 +172,7 @@ def dihedral_angles_geometric(
 
     def face_angle(x: int, v: int, y: int) -> float:
         denom = sh[v, x] * sh[v, y]
-        if denom <= tol.pivot:
+        if denom <= DEFAULT_TOL.pivot:
             raise DegenerateError("coinciding vertices in the embedding")
         c = (ch[v, x] * ch[v, y] - ch[x, y]) / denom
         return math.acos(min(1.0, max(-1.0, c)))
@@ -188,7 +184,7 @@ def dihedral_angles_geometric(
         side_ki = face_angle(k, j, i)
         side_li = face_angle(l, j, i)
         denom = math.sin(side_ki) * math.sin(side_li)
-        if denom <= tol.pivot:
+        if denom <= DEFAULT_TOL.pivot:
             raise DegenerateError("flat vertex figure in the embedding")
         c = (math.cos(side_kl) - math.cos(side_ki) * math.cos(side_li)) / denom
         values[f"th{i + 1}{j + 1}"] = math.acos(min(1.0, max(-1.0, c)))
@@ -249,9 +245,7 @@ def volume_monte_carlo(
     )
 
 
-def euclidean_volume_cm(
-    lengths: EdgeLengths, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def euclidean_volume_cm(lengths: EdgeLengths) -> float:
     """Euclidean tetrahedron volume from the squared-distance determinant.
 
     The 5x5 bordered determinant of squared pairwise distances equals
@@ -265,7 +259,7 @@ def euclidean_volume_cm(
     cm = float(np.linalg.det(m))
     scale = float(np.max(lm)) ** 6 + 1.0
     if cm < 0.0:
-        if cm < -tol.sqrt_clamp * scale:
+        if cm < -DEFAULT_TOL.sqrt_clamp * scale:
             raise DomainError(
                 f"lengths are not Euclidean-realizable (determinant {cm!r})"
             )
@@ -273,16 +267,17 @@ def euclidean_volume_cm(
     return math.sqrt(cm / 288.0)
 
 
-def lobachevsky(x: float, rel_tol: float = 1e-12) -> float:
+def lobachevsky(x: float) -> float:
     """The log-sine integral L(x) = -integral 0..x of log|2 sin u| du.
 
     Evaluated by its Fourier sine series sum_n sin(2 n x) / (2 n^2) after
     reduction to [0, pi/2] using that the function is odd and pi-periodic.
     Partial sums are extended in blocks until the oscillatory tail bound
     (Abel summation against the bounded sine partial sums) drops below the
-    requested relative tolerance; small arguments switch to the duplication
-    identity L(x) = L(2x)/2 + L(pi/2 - x) to keep the series short, and
-    below 1e-9 to the leading asymptote x (1 - log 2x).
+    fixed relative target 1e-12 (1e-15 absolute where |L| < 1e-3); small
+    arguments switch to the duplication identity L(x) = L(2x)/2 +
+    L(pi/2 - x) to keep the series short, and below 1e-9 to the leading
+    asymptote x (1 - log 2x).
     """
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x!r}")
@@ -299,8 +294,8 @@ def lobachevsky(x: float, rel_tol: float = 1e-12) -> float:
         return sign * (y - y * math.log(2.0 * y))
     if y < 0.15:
         # duplication: both arguments land in fast-converging territory
-        return sign * (0.5 * lobachevsky(2.0 * y, rel_tol)
-                       + lobachevsky(0.5 * math.pi - y, rel_tol))
+        return sign * (0.5 * lobachevsky(2.0 * y)
+                       + lobachevsky(0.5 * math.pi - y))
 
     total = 0.0
     block = 1 << 15
@@ -311,7 +306,7 @@ def lobachevsky(x: float, rel_tol: float = 1e-12) -> float:
         total += float(np.sum(np.sin(2.0 * n * y) / (2.0 * n * n)))
         n0 += block
         tail = bound / (2.0 * n0 * n0)
-        if tail <= rel_tol * max(abs(total), 1e-3):
+        if tail <= 1e-12 * max(abs(total), 1e-3):
             break
         if n0 > (1 << 26):
             break

@@ -78,7 +78,7 @@ import math
 from dataclasses import dataclass, field
 
 from .angles import DihedralAngles
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .core import EDGE_PAIRS, EdgeLengths, cofactor4, det4, opposite_pair
 from .errors import (
     DomainError,
@@ -87,7 +87,8 @@ from .errors import (
     NotATetrahedronError,
     NumericalError,
 )
-from .existence import exists, l34_bounds
+# unused here, but hytetbench's tracer patches hytet.volume.l34_bounds
+from .existence import exists, l34_bounds  # noqa: F401
 from . import quadrature
 
 __all__ = [
@@ -150,7 +151,7 @@ class _EdgeIntegrand:
     and the factored roots x_lo, x_hi of Delta(x).
     """
 
-    def __init__(self, lengths: EdgeLengths, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, lengths: EdgeLengths):
         ch = math.cosh
         self.l12, self.l13, self.l14 = lengths.l12, lengths.l13, lengths.l14
         self.l23, self.l24 = lengths.l23, lengths.l24
@@ -283,27 +284,25 @@ class _EdgeIntegrand:
         return value
 
 
-def _edge_integrand(lengths: EdgeLengths, tol: Tolerances):
+def _edge_integrand(lengths: EdgeLengths):
     """Existence report and integrand of lengths that bound a tetrahedron.
 
     Raises ExistenceError (with the report attached) when they do not, and
     NumericalError when the integrand's factored roots disagree with the
     closed-form fold bounds.
     """
-    report = exists(lengths, tol)
+    report = exists(lengths)
     if not report.exists:
         raise ExistenceError(
             "no compact hyperbolic tetrahedron has these edge lengths: "
             + ", ".join(report.failed),
             report=report,
         )
-    integ = _EdgeIntegrand(lengths, tol)
-    bounds = l34_bounds(
-        lengths.l12, lengths.l13, lengths.l14, lengths.l23, lengths.l24, tol
-    )
-    scale = 1.0 + abs(bounds.C) + bounds.S
-    if (abs(integ.x_lo - (bounds.C - bounds.S)) > tol.bounds_match * scale
-            or abs(integ.x_hi - (bounds.C + bounds.S)) > tol.bounds_match * scale):
+    integ = _EdgeIntegrand(lengths)
+    bounds = report.bounds
+    limit = DEFAULT_TOL.bounds_match * (1.0 + abs(bounds.C) + bounds.S)
+    if (abs(integ.x_lo - (bounds.C - bounds.S)) > limit
+            or abs(integ.x_hi - (bounds.C + bounds.S)) > limit):
         raise NumericalError(
             "the two expressions for the flat-fold bounds disagree: "
             f"factored ({integ.x_lo!r}, {integ.x_hi!r}) vs closed form "
@@ -312,9 +311,7 @@ def _edge_integrand(lengths: EdgeLengths, tol: Tolerances):
     return report, integ
 
 
-def volume_derivative(
-    lengths: EdgeLengths, t: float, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def volume_derivative(lengths: EdgeLengths, t: float) -> float:
     """Derivative of the volume with respect to the sixth edge length.
 
     ``lengths`` provides the five fixed lengths (its l34 field is ignored);
@@ -322,7 +319,7 @@ def volume_derivative(
     """
     if not math.isfinite(t) or t < 0:
         raise DomainError(f"parameter t must be finite and nonnegative, got {t!r}")
-    return _EdgeIntegrand(lengths, tol).derivative(t)
+    return _EdgeIntegrand(lengths).derivative(t)
 
 
 def _result_from_quadrature(
@@ -351,9 +348,7 @@ def _result_from_quadrature(
 
 
 def volume_edges(
-    lengths: EdgeLengths,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    tol: Tolerances = DEFAULT_TOL,
+    lengths: EdgeLengths, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> VolumeResult:
     """Volume by the edge-length integral from the flat bound l1 to l34.
 
@@ -362,7 +357,7 @@ def volume_edges(
     boundary return an exact zero for l34 at the lower bound, and integrate
     normally otherwise (the volume also vanishes at the upper bound).
     """
-    report, integ = _edge_integrand(lengths, tol)
+    report, integ = _edge_integrand(lengths)
 
     diagnostics = {
         "l1": integ.l1,
@@ -370,7 +365,7 @@ def volume_edges(
         "delta_at_l34": -integ.neg_delta_at(math.cosh(lengths.l34)),
         "degenerate": report.degenerate,
     }
-    if lengths.l34 <= integ.l1 + tol.boundary * (1.0 + integ.l1):
+    if lengths.l34 <= integ.l1 + DEFAULT_TOL.boundary * (1.0 + integ.l1):
         diagnostics["guarded_nodes"] = 0
         return VolumeResult(0.0, 0.0, 0, "edge_integral", diagnostics)
 
@@ -390,7 +385,7 @@ def volume_profile(
     vanishes and dV/dt is reported as +inf and -inf; V sums one quadrature
     per segment.  ``lengths.l34`` takes part only in the existence check.
     """
-    _, integ = _edge_integrand(lengths, DEFAULT_TOL)
+    _, integ = _edge_integrand(lengths)
     if samples < 2:
         raise DomainError(f"a volume profile needs at least 2 samples, got {samples!r}")
     l1, l2 = integ.l1, integ.l2
@@ -442,9 +437,7 @@ def volume_regular(
 
 
 def volume_sforza(
-    angles: DihedralAngles,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    tol: Tolerances = DEFAULT_TOL,
+    angles: DihedralAngles, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> VolumeResult:
     """Volume from dihedral angles by the one-angle logarithmic integral.
 
@@ -472,7 +465,7 @@ def volume_sforza(
     y_start = math.cos(th34)
     d_start = det4(gram_at(y_start))
     if d_start >= 0.0:
-        if d_start <= tol.boundary * 16.0:
+        if d_start <= DEFAULT_TOL.boundary * 16.0:
             # flat (zero-curvature) data: the integral is empty
             return VolumeResult(0.0, 0.0, 0, "sforza",
                                 {"t0": th34, "det_at_th34": d_start})
@@ -528,7 +521,6 @@ def schlafli_residual(
     lengths: EdgeLengths,
     h: float,
     cfg: QuadratureConfig = TIGHT_QUADRATURE,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Consistency defect between the volume and the angle variation.
 
@@ -548,7 +540,7 @@ def schlafli_residual(
 
     if not 0.0 < h < 0.1:
         raise DomainError(f"step h must be in (0, 0.1), got {h!r}")
-    report = exists(lengths, tol)
+    report = exists(lengths)
     if not report.exists or report.degenerate:
         raise NotATetrahedronError(
             "the variational residual needs a strictly interior configuration"
@@ -560,10 +552,10 @@ def schlafli_residual(
         )
 
     moved = lengths.with_l34(lengths.l34 + h)
-    v0 = volume_edges(lengths, cfg, tol).value
-    v1 = volume_edges(moved, cfg, tol).value
-    th0 = dihedral_angles(cofactors(edge_matrix_from_lengths(lengths)), tol)
-    th1 = dihedral_angles(cofactors(edge_matrix_from_lengths(moved)), tol)
+    v0 = volume_edges(lengths, cfg).value
+    v1 = volume_edges(moved, cfg).value
+    th0 = dihedral_angles(cofactors(edge_matrix_from_lengths(lengths)))
+    th1 = dihedral_angles(cofactors(edge_matrix_from_lengths(moved)))
     lm = lengths.length_matrix()
     swing = sum(
         lm[i, j] * (th1.angle(i, j) - th0.angle(i, j)) for (i, j) in EDGE_PAIRS

@@ -1,0 +1,23 @@
+import inspect
+
+import hytet
+
+
+def _public_functions():
+    return [
+        (name, obj) for name in hytet.__all__
+        if inspect.isfunction(obj := getattr(hytet, name))
+    ]
+
+
+def test_no_public_function_takes_a_tolerance_override():
+    # every module reads the one DEFAULT_TOL record
+    functions = _public_functions()
+    assert functions
+    takes_tol = [name for name, fn in functions
+                 if "tol" in inspect.signature(fn).parameters]
+    assert takes_tol == []
+
+
+def test_lobachevsky_takes_only_its_argument():
+    assert list(inspect.signature(hytet.lobachevsky).parameters) == ["x"]

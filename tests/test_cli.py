@@ -226,3 +226,29 @@ class TestValidate:
             ["validate", "--edges", "l12=3,l13=1,l14=1,l23=1,l24=1,l34=1"]
         )
         assert code == 2
+
+
+class TestRunState:
+    """The parser is built once per process; successive runs share no state."""
+
+    def test_validate_flag_does_not_carry_over(self):
+        code, doc, _ = invoke_json(
+            ["volume", "--validate", "--mc-samples", "2000", "--edges", ONES]
+        )
+        assert code == 0 and "agreement" in doc
+        code, doc, _ = invoke_json(["volume", "--edges", ONES])
+        assert code == 0
+        assert "agreement" not in doc
+
+    def test_sweep_samples_do_not_carry_over(self):
+        code, out, _ = invoke(["sweep", "--samples", "5", "--edges", ONES])
+        assert code == 0 and len(out.strip().splitlines()) == 6
+        code, out, _ = invoke(["sweep", "--edges", ONES])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 33
+
+    def test_usage_error_does_not_carry_over(self):
+        code, _, _ = invoke(["check", "--edges", "l12=1,l13=1"])
+        assert code == 64
+        code, _, _ = invoke(["check", "--edges", ONES])
+        assert code == 0
