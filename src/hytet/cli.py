@@ -206,8 +206,9 @@ def _settings(args, doc: dict):
     seed = pick(args.seed, "seed", "HYTET_SEED", DEFAULT_SEED, int)
     if tol <= 0:
         raise _UsageError("tolerance must be positive")
-    if mc_samples < 1:
-        raise _UsageError("mc-samples must be >= 1")
+    if mc_samples < 2:
+        # the Monte Carlo standard error needs two samples
+        raise _UsageError("mc-samples must be >= 2")
     if not 0 <= seed < 2 ** 64:
         raise _UsageError("seed must fit in 64 unsigned bits")
     quad = QuadratureConfig(abs_tol=tol, rel_tol=tol)

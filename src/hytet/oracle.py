@@ -20,7 +20,11 @@ check and not a tautology:
 * ``volume_monte_carlo`` maps the vertices to the Klein ball, where
   geodesics are straight so the solid is an ordinary Euclidean tetrahedron,
   samples it uniformly, and averages the Klein volume density
-  (1 - |x|^2)^(-2).  Sampling is counter-based: sample i always consumes
+  (1 - |x|^2)^(-2).  A point with barycentric weights w (sum s) has
+  1 - |x|^2 = w^T M w / s^2, where M_ij = 1 - k_i . k_j =
+  -<v_i, v_j> / (x0_i x0_j) = cosh(l_ij) / (x0_i x0_j) comes from the
+  embedding's own inner products; every entry is positive, so the form has
+  no cancellation.  Sampling is counter-based: sample i always consumes
   block i of a Philox stream keyed by the seed, and partial sums are
   accumulated over fixed-size index blocks, so the estimate depends only on
   (seed, samples), not on chunking or parallel scheduling.
@@ -86,13 +90,14 @@ class MonteCarloConfig:
     """Sampling parameters for the Klein-model volume estimator.
 
     ``chunk`` only limits how many samples are processed per batch (memory
-    control); it never changes the estimate.  Identical (seed, samples)
+    control); it never changes the estimate.  The default, 4096 samples,
+    keeps each (chunk, 4) temporary at 128 KB.  Identical (seed, samples)
     give bit-identical results for any chunk size.
     """
 
     seed: int
     samples: int
-    chunk: int = 65536
+    chunk: int = _REDUCE_BLOCK
 
     def __post_init__(self):
         if self.samples < 1:
@@ -191,44 +196,49 @@ def dihedral_angles_geometric(emb: VertexEmbedding) -> DihedralAngles:
     return DihedralAngles(**values)
 
 
-def _klein_vertices(emb: VertexEmbedding) -> np.ndarray:
-    return emb.vertices[:, 1:] / emb.vertices[:, :1]
-
-
 def volume_monte_carlo(
     emb: VertexEmbedding, cfg: MonteCarloConfig
 ) -> VolumeResult:
     """Monte Carlo volume in the Klein model.
 
-    Uniform points in the Euclidean image tetrahedron are drawn by
-    normalizing four exponential variates into barycentric weights (one
-    Philox block of four uniforms per sample), and the hyperbolic volume is
-    the Euclidean volume times the mean of (1 - |x|^2)^(-2).  The returned
+    Uniform points in the Euclidean image tetrahedron are drawn as four
+    exponential weights w per sample (one Philox block of four uniforms),
+    normalized by s = sum(w).  With Klein vertices k_i = X_i / x0_i the
+    point's density is (1 - |x|^2)^(-2) = (s^2 / w^T M w)^2, where
+    M_ij = 1 - k_i . k_j = -<v_i, v_j> / (x0_i x0_j) is built once from the
+    embedding's Minkowski inner products.  M is entrywise positive, so
+    w^T M w sums positive terms and loses no digits near the ideal
+    boundary, where 1 - |x|^2 formed from |x|^2 would.  The hyperbolic
+    volume is the Euclidean volume times the mean density; the returned
     ``error_estimate`` is one standard error.
     """
-    k = _klein_vertices(emb)
+    v = emb.vertices
+    k = v[:, 1:] / v[:, :1]
     vol_eucl = abs(float(np.linalg.det(k[1:] - k[0]))) / 6.0
+    x0 = v[:, 0]
+    m = -(v @ _METRIC @ v.T) / np.outer(x0, x0)
+    ones = np.ones(4)
 
     n = cfg.samples
     block_sums: list[float] = []
     block_sumsq: list[float] = []
-    # whole reduce-blocks per batch; cfg.chunk is only a memory hint
-    blocks_per_batch = max(1, cfg.chunk // _REDUCE_BLOCK)
-    start = 0
-    while start < n:
-        stop = min(n, start + blocks_per_batch * _REDUCE_BLOCK)
-        count = stop - start
-        gen = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[start, 0, 0, 0]))
-        uniforms = gen.random((count, 4))
-        weights = -np.log1p(-uniforms)
-        bary = weights / weights.sum(axis=1, keepdims=True)
-        pts = bary @ k
-        density = (1.0 - np.einsum("ij,ij->i", pts, pts)) ** -2.0
+    # whole reduce-blocks per batch; cfg.chunk is only a memory hint.  One
+    # generator drawn in order gives sample i Philox block i, because each
+    # sample takes four doubles, one whole block.
+    batch = max(1, cfg.chunk // _REDUCE_BLOCK) * _REDUCE_BLOCK
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+    for start in range(0, n, batch):
+        count = min(batch, n - start)
+        # log1p(-u) is minus the exponential weight; the sign cancels in
+        # both s^2 and w^T M w
+        w = np.log1p(-gen.random((count, 4)))
+        s = w @ ones
+        t = s * s / (((w @ m) * w) @ ones)
+        density = t * t
         for off in range(0, count, _REDUCE_BLOCK):
             piece = density[off:off + _REDUCE_BLOCK]
             block_sums.append(float(np.sum(piece)))
-            block_sumsq.append(float(np.sum(piece * piece)))
-        start = stop
+            block_sumsq.append(float(piece @ piece))
 
     total = float(np.sum(np.asarray(block_sums)))
     total_sq = float(np.sum(np.asarray(block_sumsq)))

@@ -133,6 +133,24 @@ class TestInput:
         _, from_flag, _ = invoke_json(argv + ["--seed", "5"])
         assert from_flag["volume"]["monte_carlo"]["diagnostics"]["seed"] == 5
 
+    def test_one_monte_carlo_sample_is_usage_error(self, tmp_path, monkeypatch):
+        # one sample has no standard error, so z would pass vacuously
+        flag = ["--mc-samples", "1", "--edges", ONES]
+        assert invoke(["validate"] + flag)[0] == 64
+        assert invoke(["volume", "--validate"] + flag)[0] == 64
+        doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")},
+               "config": {"mc_samples": 1}}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        assert invoke(["validate", str(path)])[0] == 64
+        monkeypatch.setenv("HYTET_MC_SAMPLES", "1")
+        code, _, err = invoke(["validate", "--edges", ONES])
+        assert code == 64
+        assert "mc-samples must be >= 2" in err
+        code, doc, _ = invoke_json(["validate", "--mc-samples", "2", "--edges", ONES])
+        assert code != 64
+        assert doc["volume"]["monte_carlo"]["error_estimate"] > 0
+
     def test_seventeen_significant_digits(self):
         code, out, _ = invoke(["check", "--edges", ONES])
         # l2 = arccosh((4c^2 - c - 1)/(c + 1)) at c = cosh 1, full precision

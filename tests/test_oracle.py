@@ -169,6 +169,36 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             MonteCarloConfig(seed=1, samples=0)
 
+    @pytest.mark.parametrize(
+        "edges, value, error_estimate",
+        [
+            ((1, 1, 1, 1, 1, 1), 0.09055972829747465, 6.945748141651445e-05),
+            ((1.3, 1.1, 1.4, 1.2, 1.5, 1.25),
+             0.1593031231328267, 0.00018712313142583726),
+            # vertices at x0 ~ 70-80, where 1 - |x|^2 formed from |x|^2
+            # loses about four digits per sample
+            ((5.0, 4.9, 5.1, 4.95, 5.05, 5.0),
+             0.9400250234625349, 0.021446260826532348),
+        ],
+        ids=["all_ones", "scalene", "edges_near_5"],
+    )
+    def test_estimate_matches_parent(self, edges, value, error_estimate):
+        # values of the barycentric-point estimator this one replaced
+        emb = embed_vertices(edge_matrix_from_lengths(EdgeLengths(*edges)))
+        mc = volume_monte_carlo(emb, MonteCarloConfig(seed=42, samples=200_000))
+        assert mc.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert mc.error_estimate == pytest.approx(error_estimate, rel=1e-12, abs=0)
+
+    def test_sequential_draws_match_counter_jumps(self):
+        # sample i consumes Philox block i whether the batch generator is
+        # drawn in order or started at counter [i, 0, 0, 0]
+        gen = np.random.Generator(np.random.Philox(key=42))
+        for start, count in ((0, 4096), (4096, 4096), (8192, 7), (8199, 4096)):
+            jumped = np.random.Generator(
+                np.random.Philox(key=42, counter=[start, 0, 0, 0])
+            )
+            assert np.array_equal(gen.random((count, 4)), jumped.random((count, 4)))
+
 
 class TestEuclideanVolume:
     def test_unit_right_corner(self):
