@@ -105,21 +105,16 @@ class EdgeLengths:
 class EdgeMatrix:
     """Symmetric 4x4 matrix of hyperbolic cosines of the edge lengths.
 
-    ``shifted`` caches E minus the all-ones matrix with entries computed as
+    ``shifted`` is E minus the all-ones matrix with entries computed as
     2 sinh^2(l/2), which is exact for short edges where cosh(l) - 1 would
     round away; the cofactor routines work in this shifted form.
     """
 
     e: np.ndarray
-    shifted: np.ndarray | None = None
+    shifted: np.ndarray
 
     def entry(self, i: int, j: int) -> float:
         return float(self.e[i, j])
-
-    def shift(self) -> np.ndarray:
-        if self.shifted is not None:
-            return self.shifted
-        return self.e - 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +220,7 @@ def cofactors(E: EdgeMatrix) -> CofactorSet:
     edges, where every minor is a small difference of near-unit products,
     keep their full relative accuracy.
     """
-    u = E.shift().tolist()
+    u = E.shifted.tolist()
     c = np.empty((4, 4))
     for i in range(4):
         rows = [u[r] for r in range(4) if r != i]
