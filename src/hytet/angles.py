@@ -25,10 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import DEFAULT_TOL
-from .core import EDGE_PAIRS, CofactorSet, opposite_pair
+from .core import EDGE_PAIRS, CofactorSet, Matrix4, opposite_pair
 from .errors import DomainError, NotATetrahedronError, NumericalError
 
 __all__ = ["DihedralAngles", "GramMatrix", "dihedral_angles", "gram_from_angles"]
@@ -70,7 +68,7 @@ class DihedralAngles:
 class GramMatrix:
     """Symmetric 4x4 matrix with unit diagonal and entries -cos(theta_ij)."""
 
-    g: np.ndarray
+    g: Matrix4
 
 
 def dihedral_angles(C: CofactorSet) -> DihedralAngles:
@@ -109,10 +107,10 @@ def dihedral_angles(C: CofactorSet) -> DihedralAngles:
 
 def gram_from_angles(angles: DihedralAngles) -> GramMatrix:
     """Gram matrix with entry (i, j) = -cos of the angle along edge i-j."""
-    g = np.eye(4)
+    g = [[1.0] * 4 for _ in range(4)]
     for (i, j), key in zip(EDGE_PAIRS, ANGLE_KEYS):
         th = getattr(angles, key)
         if not 0.0 <= th <= math.pi:
             raise DomainError(f"angle {key} = {th!r} outside [0, pi]")
-        g[i, j] = g[j, i] = -math.cos(th)
-    return GramMatrix(g=g)
+        g[i][j] = g[j][i] = -math.cos(th)
+    return GramMatrix(g=tuple(map(tuple, g)))

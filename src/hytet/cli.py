@@ -20,8 +20,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .angles import dihedral_angles
 from .core import (
     EDGE_KEYS,
@@ -83,20 +81,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isnan(f):
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        if math.isnan(v):
             return "null"
-        if math.isinf(f):
-            return '"inf"' if f > 0 else '"-inf"'
-        return format(f, ".17g")
-    if v is None:
-        return "null"
-    if isinstance(v, str):
+        if math.isinf(v):
+            return '"inf"' if v > 0 else '"-inf"'
+        return format(v, ".17g")
+    if v is None or isinstance(v, str):
         return json.dumps(v)
     raise TypeError(f"unserializable value {v!r}")
 
@@ -274,7 +269,7 @@ def _require_tetrahedron(lengths: EdgeLengths):
     return report
 
 
-def _cmd_check(lengths, args, out, err, quad, mc_samples, seed) -> int:
+def _cmd_check(lengths, args, out, quad, mc_samples, seed) -> int:
     report = exists(lengths)
     doc = {
         "input": _echo(lengths),
@@ -285,7 +280,7 @@ def _cmd_check(lengths, args, out, err, quad, mc_samples, seed) -> int:
     return EXIT_OK if report.exists else EXIT_NOT_A_TETRAHEDRON
 
 
-def _cmd_angles(lengths, args, out, err, quad, mc_samples, seed) -> int:
+def _cmd_angles(lengths, args, out, quad, mc_samples, seed) -> int:
     report = _require_tetrahedron(lengths)
     blocks, _ = _angles_block(cofactors(edge_matrix_from_lengths(lengths)))
     doc = {
@@ -298,7 +293,7 @@ def _cmd_angles(lengths, args, out, err, quad, mc_samples, seed) -> int:
     return EXIT_OK
 
 
-def _cmd_volume(lengths, args, out, err, quad, mc_samples, seed) -> int:
+def _cmd_volume(lengths, args, out, quad, mc_samples, seed) -> int:
     report = exists(lengths)
     res = volume_edges(lengths, quad)
     doc = {
@@ -327,7 +322,7 @@ def _cmd_volume(lengths, args, out, err, quad, mc_samples, seed) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(lengths, args, out, err, quad, mc_samples, seed) -> int:
+def _cmd_sweep(lengths, args, out, quad, mc_samples, seed) -> int:
     n = args.samples if args.samples is not None else DEFAULT_SWEEP_SAMPLES
     rows = [dict(zip(("t", "dVdt", "V"), row))
             for row in volume_profile(lengths, n, quad)]
@@ -348,7 +343,7 @@ def _csv_number(v: float) -> str:
     return format(v, ".17g")
 
 
-def _cmd_validate(lengths, args, out, err, quad, mc_samples, seed) -> int:
+def _cmd_validate(lengths, args, out, quad, mc_samples, seed) -> int:
     report = _require_tetrahedron(lengths)
 
     E = edge_matrix_from_lengths(lengths)
@@ -485,8 +480,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         doc = _load_document(args)
         lengths = _lengths_from_document(doc)
         quad, mc_samples, seed = _settings(args, doc)
-        return _COMMANDS[args.command](lengths, args, out, err,
-                                       quad, mc_samples, seed)
+        return _COMMANDS[args.command](lengths, args, out, quad, mc_samples, seed)
     except _UsageError as e:
         print(f"hytet: input error: {e}", file=err)
         return EXIT_USAGE

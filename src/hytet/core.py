@@ -11,13 +11,13 @@ together with its sixteen cofactors c_ij = (-1)^(i+j) * minor_ij(E) and its
 determinant.  Everything downstream (existence bounds, dihedral angles, the
 volume integrand) is a function of these.
 
-Vertices are numbered 1..4 in documentation and 0..3 in array indices; the
+Vertices are numbered 1..4 in documentation and 0..3 in matrix indices; the
 field ``lij`` always has i < j.  The edge opposite lij joins the remaining
 two vertices, see :func:`opposite_pair`.
 
 Cofactors are computed by explicit 3x3 minor expansion rather than through
 an inverse, so they stay well defined when the determinant approaches zero
-(flat configurations).
+(flat configurations).  A 4x4 matrix is a tuple of four row tuples.
 """
 
 from __future__ import annotations
@@ -26,14 +26,22 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .errors import DomainError
 
 EDGE_KEYS = ("l12", "l13", "l14", "l23", "l24", "l34")
 
 # 0-based vertex pairs in the same order as EDGE_KEYS
 EDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+Matrix4 = tuple[tuple[float, ...], ...]
+
+
+def _symmetric(diagonal: float, values: Sequence[float]) -> Matrix4:
+    """Symmetric 4x4 matrix: constant diagonal, the rest in EDGE_PAIRS order."""
+    m = [[diagonal] * 4 for _ in range(4)]
+    for (i, j), value in zip(EDGE_PAIRS, values):
+        m[i][j] = m[j][i] = value
+    return tuple(map(tuple, m))
 
 
 def opposite_pair(i: int, j: int) -> tuple[int, int]:
@@ -82,12 +90,9 @@ class EdgeLengths:
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(getattr(self, k) for k in EDGE_KEYS)
 
-    def length_matrix(self) -> np.ndarray:
+    def length_matrix(self) -> Matrix4:
         """Symmetric 4x4 matrix of pairwise lengths, zero diagonal."""
-        m = np.zeros((4, 4))
-        for (i, j), key in zip(EDGE_PAIRS, EDGE_KEYS):
-            m[i, j] = m[j, i] = getattr(self, key)
-        return m
+        return _symmetric(0.0, self.as_tuple())
 
     def with_l34(self, value: float) -> "EdgeLengths":
         return replace(self, l34=value)
@@ -97,8 +102,7 @@ class EdgeLengths:
         if sorted(sigma) != [0, 1, 2, 3]:
             raise DomainError(f"relabeling must be a permutation of 0..3, got {sigma!r}")
         m = self.length_matrix()
-        values = {key: m[sigma[i], sigma[j]] for (i, j), key in zip(EDGE_PAIRS, EDGE_KEYS)}
-        return EdgeLengths(**values)
+        return EdgeLengths(*(m[sigma[i]][sigma[j]] for i, j in EDGE_PAIRS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +114,11 @@ class EdgeMatrix:
     round away; the cofactor routines work in this shifted form.
     """
 
-    e: np.ndarray
-    shifted: np.ndarray
+    e: Matrix4
+    shifted: Matrix4
 
     def entry(self, i: int, j: int) -> float:
-        return float(self.e[i, j])
+        return self.e[i][j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,15 +131,15 @@ class CofactorSet:
     matrices when testing determinant identities.
     """
 
-    c: np.ndarray
+    c: Matrix4
     delta: float
 
     def entry(self, i: int, j: int) -> float:
-        return float(self.c[i, j])
+        return self.c[i][j]
 
     @property
     def diagonal(self) -> tuple[float, float, float, float]:
-        return tuple(float(self.c[i, i]) for i in range(4))
+        return tuple(self.c[i][i] for i in range(4))
 
 
 @dataclass(frozen=True)
@@ -167,13 +171,15 @@ def _det3(m) -> float:
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
+def _minor(m, i: int, j: int) -> list[list[float]]:
+    """The 4x4 matrix m without row i and column j."""
+    return [[row[c] for c in range(4) if c != j] for r, row in enumerate(m) if r != i]
+
+
 def cofactor4(m, i: int, j: int) -> float:
     """Signed cofactor of a 4x4 matrix given as nested sequences."""
-    rows = [r for r in range(4) if r != i]
-    cols = [c for c in range(4) if c != j]
-    minor = [[m[r][c] for c in cols] for r in rows]
     sign = -1.0 if (i + j) % 2 else 1.0
-    return sign * _det3(minor)
+    return sign * _det3(_minor(m, i, j))
 
 
 def det4(m) -> float:
@@ -184,14 +190,9 @@ def det4(m) -> float:
 
 def edge_matrix_from_lengths(lengths: EdgeLengths) -> EdgeMatrix:
     """Build E[i][j] = cosh(lij) with unit diagonal."""
-    e = np.ones((4, 4))
-    shifted = np.zeros((4, 4))
-    for (i, j), key in zip(EDGE_PAIRS, EDGE_KEYS):
-        value = getattr(lengths, key)
-        gap = 2.0 * math.sinh(0.5 * value) ** 2
-        shifted[i, j] = shifted[j, i] = gap
-        e[i, j] = e[j, i] = 1.0 + gap
-    return EdgeMatrix(e=e, shifted=shifted)
+    gaps = [2.0 * math.sinh(0.5 * value) ** 2 for value in lengths.as_tuple()]
+    return EdgeMatrix(e=_symmetric(1.0, [1.0 + gap for gap in gaps]),
+                      shifted=_symmetric(0.0, gaps))
 
 
 def _det_ones_plus(u) -> float:
@@ -207,7 +208,7 @@ def _det_ones_plus(u) -> float:
     det = _det3 if n == 3 else det4
     total = det(u)
     for j in range(n):
-        replaced = [row[:j] + [1.0] + row[j + 1:] for row in u]
+        replaced = [(*row[:j], 1.0, *row[j + 1:]) for row in u]
         total += det(replaced)
     return total
 
@@ -220,16 +221,13 @@ def cofactors(E: EdgeMatrix) -> CofactorSet:
     edges, where every minor is a small difference of near-unit products,
     keep their full relative accuracy.
     """
-    u = E.shifted.tolist()
-    c = np.empty((4, 4))
-    for i in range(4):
-        rows = [u[r] for r in range(4) if r != i]
-        for j in range(4):
-            minor = [[row[col] for col in range(4) if col != j] for row in rows]
-            sign = -1.0 if (i + j) % 2 else 1.0
-            c[i, j] = sign * _det_ones_plus(minor)
-    delta = _det_ones_plus(u)
-    return CofactorSet(c=c, delta=float(delta))
+    u = E.shifted
+    c = tuple(
+        tuple((-1.0 if (i + j) % 2 else 1.0) * _det_ones_plus(_minor(u, i, j))
+              for j in range(4))
+        for i in range(4)
+    )
+    return CofactorSet(c=c, delta=_det_ones_plus(u))
 
 
 def jacobi_residuals(E: EdgeMatrix, C: CofactorSet) -> JacobiResiduals:
@@ -257,31 +255,31 @@ def jacobi_residuals(E: EdgeMatrix, C: CofactorSet) -> JacobiResiduals:
     d = C.delta
 
     def sh2(i, j):
-        return a[i, j] * a[i, j] - 1.0
+        return a[i][j] * a[i][j] - 1.0
 
     rows = (
-        (c[0, 0] * c[1, 1] - c[0, 1] ** 2, -d * sh2(2, 3)),
-        (c[0, 0] * c[2, 2] - c[0, 2] ** 2, -d * sh2(1, 3)),
-        (c[1, 1] * c[2, 2] - c[1, 2] ** 2, -d * sh2(0, 3)),
-        (c[2, 2] * c[3, 3] - c[2, 3] ** 2, -d * sh2(0, 1)),
-        (c[1, 1] * c[3, 3] - c[1, 3] ** 2, -d * sh2(0, 2)),
-        (c[0, 0] * c[3, 3] - c[0, 3] ** 2, -d * sh2(1, 2)),
-        (c[0, 3] * c[1, 2] - c[0, 1] * c[2, 3],
-         d * (a[0, 3] * a[1, 2] - a[0, 1] * a[2, 3])),
-        (c[0, 2] * c[1, 3] - c[0, 1] * c[2, 3],
-         d * (a[0, 2] * a[1, 3] - a[0, 1] * a[2, 3])),
-        (c[0, 2] * c[3, 3] - c[0, 3] * c[2, 3],
-         -d * (a[0, 2] - a[0, 1] * a[1, 2])),
-        (c[0, 2] * c[0, 3] - c[0, 0] * c[2, 3],
-         d * (a[2, 3] - a[1, 2] * a[1, 3])),
-        (c[2, 2] * c[0, 3] - c[2, 3] * c[0, 2],
-         -d * (a[0, 3] - a[0, 1] * a[1, 3])),
-        (c[1, 2] * c[1, 3] - c[2, 3] * c[1, 1],
-         d * (a[2, 3] - a[0, 2] * a[0, 3])),
-        (c[1, 2] * c[3, 3] - c[1, 3] * c[2, 3],
-         -d * (a[1, 2] - a[0, 1] * a[0, 2])),
-        (c[2, 2] * c[1, 3] - c[2, 3] * c[1, 2],
-         -d * (a[1, 3] - a[0, 1] * a[0, 3])),
+        (c[0][0] * c[1][1] - c[0][1] ** 2, -d * sh2(2, 3)),
+        (c[0][0] * c[2][2] - c[0][2] ** 2, -d * sh2(1, 3)),
+        (c[1][1] * c[2][2] - c[1][2] ** 2, -d * sh2(0, 3)),
+        (c[2][2] * c[3][3] - c[2][3] ** 2, -d * sh2(0, 1)),
+        (c[1][1] * c[3][3] - c[1][3] ** 2, -d * sh2(0, 2)),
+        (c[0][0] * c[3][3] - c[0][3] ** 2, -d * sh2(1, 2)),
+        (c[0][3] * c[1][2] - c[0][1] * c[2][3],
+         d * (a[0][3] * a[1][2] - a[0][1] * a[2][3])),
+        (c[0][2] * c[1][3] - c[0][1] * c[2][3],
+         d * (a[0][2] * a[1][3] - a[0][1] * a[2][3])),
+        (c[0][2] * c[3][3] - c[0][3] * c[2][3],
+         -d * (a[0][2] - a[0][1] * a[1][2])),
+        (c[0][2] * c[0][3] - c[0][0] * c[2][3],
+         d * (a[2][3] - a[1][2] * a[1][3])),
+        (c[2][2] * c[0][3] - c[2][3] * c[0][2],
+         -d * (a[0][3] - a[0][1] * a[1][3])),
+        (c[1][2] * c[1][3] - c[2][3] * c[1][1],
+         d * (a[2][3] - a[0][2] * a[0][3])),
+        (c[1][2] * c[3][3] - c[1][3] * c[2][3],
+         -d * (a[1][2] - a[0][1] * a[0][2])),
+        (c[2][2] * c[1][3] - c[2][3] * c[1][2],
+         -d * (a[1][3] - a[0][1] * a[0][3])),
     )
     residuals = tuple(abs(lhs - rhs) for lhs, rhs in rows)
     scales = tuple(max(1.0, abs(lhs)) for lhs, _ in rows)
@@ -290,6 +288,5 @@ def jacobi_residuals(E: EdgeMatrix, C: CofactorSet) -> JacobiResiduals:
 
 def expansion_residual(E: EdgeMatrix, C: CofactorSet) -> float:
     """Worst deviation of sum_j E[i][j] c[k][j] from delta * [i == k]."""
-    prod = E.e @ C.c.T
-    target = C.delta * np.eye(4)
-    return float(np.max(np.abs(prod - target)))
+    return max(abs(sum(e * c for e, c in zip(E.e[i], C.c[k])) - C.delta * (i == k))
+               for i in range(4) for k in range(4))

@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_TOL
 from .core import EdgeLengths
 from .errors import DomainError, NotATetrahedronError, NumericalError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "L34Bounds",

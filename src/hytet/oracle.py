@@ -33,20 +33,24 @@ check and not a tautology:
   Cl2(2x), summed from a fixed 20-term Bernoulli series) supply the
   flat-limit and ideal-limit reference values used to sandwich the
   hyperbolic volume.
+
+numpy is imported only inside the functions that do array work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .angles import DihedralAngles
 from .config import DEFAULT_TOL
 from .core import EDGE_PAIRS, EdgeLengths, EdgeMatrix
 from .errors import DegenerateError, DomainError, NotATetrahedronError
 from .volume import VolumeResult
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "VertexEmbedding",
@@ -57,9 +61,6 @@ __all__ = [
     "euclidean_volume_cm",
     "lobachevsky",
 ]
-
-# Minkowski signature (-, +, +, +)
-_METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 # samples are drawn and summed in fixed blocks of this many, so the sums
 # associate identically for given (seed, samples); each (block, 4) is 128 KB
@@ -114,11 +115,13 @@ def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:
     refuses with the achieved rank; a negative pivot beyond tolerance means
     the matrix is not realizable on the hyperboloid at all.
     """
+    import numpy as np
+
     a = E.e
     v = np.zeros((4, 4))
     v[0] = (1.0, 0.0, 0.0, 0.0)
 
-    scale = float(np.max(a))
+    scale = max(map(max, a))
 
     def pivot(value: float, rank: int) -> float:
         if value <= DEFAULT_TOL.pivot * scale * scale:
@@ -132,24 +135,24 @@ def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:
             )
         return math.sqrt(value)
 
-    sh12 = pivot(a[0, 1] ** 2 - 1.0, 1)
-    v[1] = (a[0, 1], sh12, 0.0, 0.0)
+    sh12 = pivot(a[0][1] ** 2 - 1.0, 1)
+    v[1] = (a[0][1], sh12, 0.0, 0.0)
 
-    p = a[0, 2]
-    q = (a[0, 1] * p - a[1, 2]) / sh12
+    p = a[0][2]
+    q = (a[0][1] * p - a[1][2]) / sh12
     r = pivot(p * p - q * q - 1.0, 2)
     v[2] = (p, q, r, 0.0)
 
-    s = a[0, 3]
-    u = (a[0, 1] * s - a[1, 3]) / sh12
-    w = (p * s - q * u - a[2, 3]) / r
+    s = a[0][3]
+    u = (a[0][1] * s - a[1][3]) / sh12
+    w = (p * s - q * u - a[2][3]) / r
     z = pivot(s * s - u * u - w * w - 1.0, 3)
     v[3] = (s, u, w, z)
 
     resid = 0.0
     for i in range(4):
         for j in range(i, 4):
-            target = -1.0 if i == j else -a[i, j]
+            target = -1.0 if i == j else -a[i][j]
             resid = max(resid, abs(_mdot(v[i], v[j]) - target))
     return VertexEmbedding(vertices=v, gram_resid=resid)
 
@@ -164,12 +167,10 @@ def dihedral_angles_geometric(emb: VertexEmbedding) -> DihedralAngles:
     Never consults cofactors, so it is a genuinely independent check of
     the algebraic angle route.
     """
-    n = emb.vertices
-    lm = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            lm[i, j] = lm[j, i] = math.acosh(max(1.0, -_mdot(n[i], n[j])))
+    import numpy as np
 
+    lm = np.array([[emb.length(i, j) if i != j else 0.0 for j in range(4)]
+                   for i in range(4)])
     ch = np.cosh(lm)
     sh = np.sinh(lm)
 
@@ -210,16 +211,19 @@ def volume_monte_carlo(
     volume is the Euclidean volume times the mean density; the returned
     ``error_estimate`` is one standard error.
     """
+    import numpy as np
+
     v = emb.vertices
     k = v[:, 1:] / v[:, :1]
     vol_eucl = abs(float(np.linalg.det(k[1:] - k[0]))) / 6.0
     x0 = v[:, 0]
-    m = -(v @ _METRIC @ v.T) / np.outer(x0, x0)
+    # Minkowski products in signature (-, +, +, +)
+    m = -(v @ np.diag([-1.0, 1.0, 1.0, 1.0]) @ v.T) / np.outer(x0, x0)
     ones = np.ones(4)
 
     n = cfg.samples
     block_sums: list[float] = []
-    block_sumsq: list[float] = []
+    dev_sum = dev_sumsq = 0.0
     # one generator drawn in order gives sample i Philox block i, because
     # each sample takes four doubles, one whole block
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -232,12 +236,14 @@ def volume_monte_carlo(
         t = s * s / (((w @ m) * w) @ ones)
         density = t * t
         block_sums.append(float(np.sum(density)))
-        block_sumsq.append(float(density @ density))
+        # spread about the first block's mean, so a tiny spread does not cancel
+        shift = block_sums[0] / min(_REDUCE_BLOCK, n)
+        dev_sum += block_sums[-1] - count * shift
+        density -= shift
+        dev_sumsq += float(density @ density)
 
-    total = float(np.sum(np.asarray(block_sums)))
-    total_sq = float(np.sum(np.asarray(block_sumsq)))
-    mean = total / n
-    variance = max(total_sq / n - mean * mean, 0.0)
+    mean = float(np.sum(np.asarray(block_sums))) / n
+    variance = max(dev_sumsq / n - (dev_sum / n) ** 2, 0.0)
     value = vol_eucl * mean
     stderr = vol_eucl * math.sqrt(variance / n)
     return VolumeResult(
@@ -256,12 +262,14 @@ def euclidean_volume_cm(lengths: EdgeLengths) -> float:
     288 V^2 for a Euclidean tetrahedron; a negative value (beyond rounding)
     means the lengths are not Euclidean-realizable.
     """
+    import numpy as np
+
     lm = lengths.length_matrix()
     m = np.ones((5, 5))
     m[0, 0] = 0.0
-    m[1:, 1:] = lm ** 2
+    m[1:, 1:] = np.square(lm)
     cm = float(np.linalg.det(m))
-    scale = float(np.max(lm)) ** 6 + 1.0
+    scale = max(map(max, lm)) ** 6 + 1.0
     if cm < 0.0:
         if cm < -DEFAULT_TOL.sqrt_clamp * scale:
             raise DomainError(

@@ -528,20 +528,21 @@ def schlafli_residual(
 
         | V(l34 + h) - V(l34) + (1/2) sum_ij lij (theta_ij(l34 + h) - theta_ij(l34)) |
 
-    with the lengths in the sum held at their base values.  The variational
-    identity makes the first-order terms cancel exactly, so the residual of
-    these one-sided differences scales as h^2 (the coefficient is the
-    derivative of the 3-4 angle, whose own length coefficient moves with
-    the fold).  Requires a strictly interior configuration with margin for
-    the step.
+    with the lengths in the sum held at their base values.  The volume
+    difference is one quadrature of dV/dt over [l34, l34 + h].  The
+    variational identity makes the first-order terms cancel exactly, so the
+    residual of these one-sided differences scales as h^2 (the coefficient
+    is the derivative of the 3-4 angle, whose own length coefficient moves
+    with the fold).  Requires a strictly interior configuration with margin
+    for the step.
     """
     from .core import cofactors, edge_matrix_from_lengths
     from .angles import dihedral_angles
 
     if not 0.0 < h < 0.1:
         raise DomainError(f"step h must be in (0, 0.1), got {h!r}")
-    report = exists(lengths)
-    if not report.exists or report.degenerate:
+    report, integ = _edge_integrand(lengths)
+    if report.degenerate:
         raise NotATetrahedronError(
             "the variational residual needs a strictly interior configuration"
         )
@@ -552,12 +553,11 @@ def schlafli_residual(
         )
 
     moved = lengths.with_l34(lengths.l34 + h)
-    v0 = volume_edges(lengths, cfg).value
-    v1 = volume_edges(moved, cfg).value
+    dv = integ.integral(lengths.l34, moved.l34, cfg).value
     th0 = dihedral_angles(cofactors(edge_matrix_from_lengths(lengths)))
     th1 = dihedral_angles(cofactors(edge_matrix_from_lengths(moved)))
     lm = lengths.length_matrix()
     swing = sum(
-        lm[i, j] * (th1.angle(i, j) - th0.angle(i, j)) for (i, j) in EDGE_PAIRS
+        lm[i][j] * (th1.angle(i, j) - th0.angle(i, j)) for (i, j) in EDGE_PAIRS
     )
-    return abs((v1 - v0) + 0.5 * swing)
+    return abs(dv + 0.5 * swing)

@@ -89,7 +89,7 @@ class TestGramMatrix:
     def test_zero_angle_entry(self):
         th = DihedralAngles(0.0, *([math.pi / 2] * 5))
         G = gram_from_angles(th).g
-        assert G[0, 1] == pytest.approx(-1.0)
+        assert G[0][1] == pytest.approx(-1.0)
 
     def test_angle_outside_range_rejected(self):
         th = DihedralAngles(3.2, *([math.pi / 2] * 5))

@@ -1,9 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import hytet
 from hytet.cli import run
 
 ONES = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=1"
@@ -270,3 +276,22 @@ class TestRunState:
         assert code == 64
         code, _, _ = invoke(["check", "--edges", ONES])
         assert code == 0
+
+
+class TestImportCost:
+    def test_scalar_commands_do_not_load_numpy(self):
+        # numpy serves only the oracles: a fresh process that imports the
+        # CLI and answers check, angles, volume and sweep never loads it
+        script = textwrap.dedent(f"""
+            import io, sys
+            from hytet.cli import run
+            after_import = "numpy" in sys.modules
+            codes = [run([command, "--edges", {ONES!r}], stdout=io.StringIO())
+                     for command in ("check", "angles", "volume", "sweep")]
+            print(after_import, codes, "numpy" in sys.modules)
+        """)
+        src = str(Path(hytet.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "False [0, 0, 0, 0] False", proc.stderr

@@ -105,7 +105,7 @@ class TestCofactors:
     def test_symmetry_and_expansion(self, values):
         E = edge_matrix_from_lengths(EdgeLengths(*values))
         C = cofactors(E)
-        assert np.abs(C.c - C.c.T).max() <= 1e-12 * (np.abs(C.c).max() + 1.0)
+        assert np.abs(C.c - np.transpose(C.c)).max() <= 1e-12 * (np.abs(C.c).max() + 1.0)
         assert expansion_residual(E, C) <= 1e-12 * (1.0 + abs(C.delta))
 
     @settings(max_examples=40, deadline=None)

@@ -75,7 +75,7 @@ class TestEmbedding:
             lm = L.length_matrix()
             for i in range(4):
                 for j in range(i + 1, 4):
-                    worst = max(worst, abs(emb.length(i, j) - lm[i, j]))
+                    worst = max(worst, abs(emb.length(i, j) - lm[i][j]))
         assert worst < 1e-12
 
     def test_vertices_on_upper_sheet(self, rng):
@@ -193,6 +193,21 @@ class TestMonteCarlo:
                 np.random.Philox(key=42, counter=[start, 0, 0, 0])
             )
             assert np.array_equal(gen.random((count, 4)), jumped.random((count, 4)))
+
+    @pytest.mark.parametrize("a", [1e-4, 3e-5])
+    def test_error_estimate_matches_two_pass_variance(self, a):
+        # on short edges the density varies by parts in 1e9, where a
+        # one-pass mean(d^2) - mean(d)^2 cancels to rounding noise
+        n = 200_000
+        emb = embed_vertices(edge_matrix_from_lengths(EdgeLengths(*[a] * 6)))
+        mc = volume_monte_carlo(emb, MonteCarloConfig(seed=1, samples=n))
+        v = emb.vertices
+        m = -(v @ MINK @ v.T) / np.outer(v[:, 0], v[:, 0])
+        w = np.log1p(-np.random.Generator(np.random.Philox(key=1)).random((n, 4)))
+        t = w.sum(axis=1) ** 2 / np.einsum("ni,ij,nj->n", w, m, w)
+        density = t * t
+        expected = mc.diagnostics["euclidean_volume"] * math.sqrt(np.var(density) / n)
+        assert mc.error_estimate == pytest.approx(expected, rel=1e-6, abs=0)
 
 
 class TestEuclideanVolume:
