@@ -1,4 +1,4 @@
-"""Dihedral angles from edge-matrix cofactors, and the angle Gram matrix.
+"""Dihedral angles from edge-matrix cofactors, and the face Gram matrix.
 
 The cosine rule implemented here reads the dihedral angle along an edge off
 the cofactors of the edge matrix at the *opposite* edge's vertex pair: for
@@ -66,7 +66,11 @@ class DihedralAngles:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric 4x4 matrix with unit diagonal and entries -cos(theta_ij)."""
+    """Gram matrix of the outward face normals, face i opposite vertex i.
+
+    Unit diagonal; faces i and j meet along the edge joining the other two
+    vertices, so entry (i, j) is -cos of the angle along that edge.
+    """
 
     g: Matrix4
 
@@ -106,11 +110,16 @@ def dihedral_angles(C: CofactorSet) -> DihedralAngles:
 
 
 def gram_from_angles(angles: DihedralAngles) -> GramMatrix:
-    """Gram matrix with entry (i, j) = -cos of the angle along edge i-j."""
+    """Face Gram matrix: entry (i, j) = -cos theta_kl, (k, l) = opposite_pair(i, j).
+
+    The 1-2 angle, for instance, sits in the (3, 4) slot (0-based (2, 3)).
+    Raises DomainError for an angle outside [0, pi].
+    """
     g = [[1.0] * 4 for _ in range(4)]
-    for (i, j), key in zip(EDGE_PAIRS, ANGLE_KEYS):
+    for (k, l), key in zip(EDGE_PAIRS, ANGLE_KEYS):
         th = getattr(angles, key)
         if not 0.0 <= th <= math.pi:
             raise DomainError(f"angle {key} = {th!r} outside [0, pi]")
+        i, j = opposite_pair(k, l)
         g[i][j] = g[j][i] = -math.cos(th)
     return GramMatrix(g=tuple(map(tuple, g)))

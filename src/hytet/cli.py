@@ -481,10 +481,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         lengths = _lengths_from_document(doc)
         quad, mc_samples, seed = _settings(args, doc)
         return _COMMANDS[args.command](lengths, args, out, quad, mc_samples, seed)
-    except _UsageError as e:
-        print(f"hytet: input error: {e}", file=err)
-        return EXIT_USAGE
-    except DomainError as e:
+    except (_UsageError, DomainError) as e:
         print(f"hytet: input error: {e}", file=err)
         return EXIT_USAGE
     except ExistenceError as e:

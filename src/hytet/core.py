@@ -15,9 +15,10 @@ Vertices are numbered 1..4 in documentation and 0..3 in matrix indices; the
 field ``lij`` always has i < j.  The edge opposite lij joins the remaining
 two vertices, see :func:`opposite_pair`.
 
-Cofactors are computed by explicit 3x3 minor expansion rather than through
-an inverse, so they stay well defined when the determinant approaches zero
-(flat configurations).  A 4x4 matrix is a tuple of four row tuples.
+Cofactors are computed from explicit 3x3 minors rather than through an
+inverse, so they stay well defined when the determinant approaches zero
+(flat configurations); only the ten with i <= j are distinct.  A 4x4
+matrix is a tuple of four row tuples.
 """
 
 from __future__ import annotations
@@ -76,13 +77,6 @@ class EdgeLengths:
             if value < 0:
                 raise DomainError(f"edge length {name} must be nonnegative, got {value!r}")
             object.__setattr__(self, name, float(value))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EdgeLengths":
-        missing = [k for k in EDGE_KEYS if k not in d]
-        if missing:
-            raise DomainError(f"missing edge lengths: {', '.join(missing)}")
-        return cls(**{k: d[k] for k in EDGE_KEYS})
 
     def as_dict(self) -> dict[str, float]:
         return {k: getattr(self, k) for k in EDGE_KEYS}
@@ -195,39 +189,39 @@ def edge_matrix_from_lengths(lengths: EdgeLengths) -> EdgeMatrix:
                       shifted=_symmetric(0.0, gaps))
 
 
-def _det_ones_plus(u) -> float:
-    """det(J + U) for square U, J the all-ones matrix.
-
-    By multilinearity in the columns, and because any two ones-columns make
-    the determinant vanish, det(J + U) = det(U) + sum over columns of
-    det(U with that column replaced by ones).  Evaluating in the shifted
-    variable keeps full relative precision when the entries of U are tiny
-    (short edges), where forming J + U first would destroy the cofactors.
-    """
-    n = len(u)
-    det = _det3 if n == 3 else det4
-    total = det(u)
-    for j in range(n):
-        replaced = [(*row[:j], 1.0, *row[j + 1:]) for row in u]
-        total += det(replaced)
-    return total
+def _det_and_cofactor_sum(m) -> tuple[float, float]:
+    """det M and the sum of the nine cofactors of a 3x3 matrix M."""
+    (a, b, c), (d, e, f), (g, h, k) = m
+    c00, c01, c02 = e * k - f * h, f * g - d * k, d * h - e * g
+    # rows 1 and 2 of the cofactor matrix, summed, factor into differences
+    return (a * c00 + b * c01 + c * c02,
+            c00 + c01 + c02 + (a - b) * (k - f) + (a - c) * (e - h) + (c - b) * (d - g))
 
 
 def cofactors(E: EdgeMatrix) -> CofactorSet:
     """All cofactors and the determinant of an edge matrix.
 
-    Each cofactor is an explicit 3x3 minor (no inverse anywhere), expanded
-    in the shifted variable U = E - ones so that configurations with short
-    edges, where every minor is a small difference of near-unit products,
-    keep their full relative accuracy.
+    E = J + U with J the all-ones matrix and U = ``E.shifted``.  By the
+    matrix determinant lemma det(J + M) = det M + (sum of M's cofactors), so
+    the cofactor c_ij of E comes from the 3x3 minor M of U alone, and J + U
+    is never formed: configurations with short edges, where every minor of
+    E is a small difference of near-unit products, keep their full relative
+    accuracy.  E is symmetric, so only the ten cofactors with i <= j are
+    computed, each copied to (j, i).  Each of them is also +-det M, a
+    cofactor of U, so det E = det U + (sum of U's cofactors) comes from the
+    same ten minors.  No inverse is taken anywhere.
     """
     u = E.shifted
-    c = tuple(
-        tuple((-1.0 if (i + j) % 2 else 1.0) * _det_ones_plus(_minor(u, i, j))
-              for j in range(4))
-        for i in range(4)
-    )
-    return CofactorSet(c=c, delta=_det_ones_plus(u))
+    c = [[0.0] * 4 for _ in range(4)]
+    c_u = [[0.0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            det_m, sum_m = _det_and_cofactor_sum(_minor(u, i, j))
+            sign = -1.0 if (i + j) % 2 else 1.0
+            c[i][j] = c[j][i] = sign * (det_m + sum_m)
+            c_u[i][j] = c_u[j][i] = sign * det_m
+    det_u = sum(x * y for x, y in zip(u[0], c_u[0]))
+    return CofactorSet(c=tuple(map(tuple, c)), delta=det_u + sum(map(sum, c_u)))
 
 
 def jacobi_residuals(E: EdgeMatrix, C: CofactorSet) -> JacobiResiduals:

@@ -77,9 +77,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .angles import DihedralAngles
+from .angles import DihedralAngles, gram_from_angles
 from .config import DEFAULT_TOL
-from .core import EDGE_PAIRS, EdgeLengths, cofactor4, det4, opposite_pair
+from .core import EDGE_PAIRS, EdgeLengths, cofactor4, det4
 from .errors import (
     DomainError,
     ExistenceError,
@@ -448,15 +448,9 @@ def volume_sforza(
     already nonnegative at theta_34, or has no such root, the angles are
     inconsistent (or exactly flat, which returns zero volume).
     """
-    for key, th in angles.as_dict().items():
-        if not 0.0 <= th <= math.pi:
-            raise DomainError(f"angle {key} = {th!r} outside [0, pi]")
     th34 = angles.th34
-    # face Gram matrix: faces i and j share the edge joining the other two
-    # vertices, so the 3-4 angle sits in the (1, 2) slot
-    g = [[1.0] * 4 for _ in range(4)]
-    for (i, j) in EDGE_PAIRS:
-        g[i][j] = g[j][i] = -math.cos(angles.angle(*opposite_pair(i, j)))
+    # the 3-4 angle sits in the (1, 2) slot of the face Gram matrix
+    g = [list(row) for row in gram_from_angles(angles).g]
 
     def gram_at(y: float) -> list:
         g[0][1] = g[1][0] = -y

@@ -17,6 +17,7 @@ from hytet import (
     l34_bounds,
     sample_lengths,
 )
+from hytet.core import EDGE_PAIRS, cofactor4
 
 
 def angles_of(lengths: EdgeLengths) -> DihedralAngles:
@@ -87,9 +88,22 @@ class TestGramMatrix:
         assert np.linalg.det(G) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_angle_entry(self):
+        # faces 3 and 4 (opposite vertices 3 and 4) share edge 1-2
         th = DihedralAngles(0.0, *([math.pi / 2] * 5))
         G = gram_from_angles(th).g
-        assert G[0][1] == pytest.approx(-1.0)
+        assert G[2][3] == pytest.approx(-1.0)
+
+    def test_dual_cosine_rule_recovers_lengths(self, rng):
+        # the face Gram matrix's cofactors give back the edge lengths:
+        # cosh l_ij = c_ij / sqrt(c_ii c_jj)
+        for _ in range(100):
+            L = sample_lengths(rng)
+            G = gram_from_angles(angles_of(L)).g
+            lengths = L.length_matrix()
+            c = [[cofactor4(G, i, j) for j in range(4)] for i in range(4)]
+            for i, j in EDGE_PAIRS:
+                cosh_l = c[i][j] / math.sqrt(c[i][i] * c[j][j])
+                assert cosh_l == pytest.approx(math.cosh(lengths[i][j]), rel=1e-12)
 
     def test_angle_outside_range_rejected(self):
         th = DihedralAngles(3.2, *([math.pi / 2] * 5))

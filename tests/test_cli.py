@@ -217,6 +217,20 @@ class TestSweep:
         assert doc["rows"][0]["dVdt"] == "inf"
 
 
+class TestCsvFormat:
+    def test_non_sweep_commands_print_key_value_rows(self):
+        code, out, _ = invoke(["check", "--format", "csv", "--edges", ONES])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "key,value"
+        for row in ("existence.exists,true", "existence.bounds.l1,0",
+                    "existence.bounds.clamped_sqrt,false"):
+            assert row in lines
+        code, out, _ = invoke(["angles", "--format", "csv", "--edges", ONES])
+        assert code == 0
+        assert any(line.startswith("angles.radians.th12,") for line in out.splitlines())
+
+
 class TestAngles:
     def test_radians_and_degrees(self):
         code, doc, _ = invoke_json(["angles", "--edges", ONES])

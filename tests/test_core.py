@@ -77,13 +77,14 @@ class TestCofactors:
         assert C.delta == 0.0
         assert np.array_equal(C.c, np.zeros((4, 4)))
 
-    def test_regular_closed_forms(self):
-        a = 1.0
+    @pytest.mark.parametrize("a", [1e-4, 1e-2, 1.0, 10.0])
+    def test_regular_closed_forms(self, a):
         c = math.cosh(a)
+        one_minus_c = -2.0 * math.sinh(0.5 * a) ** 2
         C = cofactors(edge_matrix_from_lengths(EdgeLengths(a, a, a, a, a, a)))
-        delta_exact = (1 - c) ** 3 * (1 + 3 * c)
-        cii_exact = (1 - c) ** 2 * (1 + 2 * c)
-        cij_exact = -c * (1 - c) ** 2
+        delta_exact = one_minus_c ** 3 * (1 + 3 * c)
+        cii_exact = one_minus_c ** 2 * (1 + 2 * c)
+        cij_exact = -c * one_minus_c ** 2
         assert C.delta == pytest.approx(delta_exact, rel=1e-13)
         for i in range(4):
             for j in range(4):
@@ -105,7 +106,7 @@ class TestCofactors:
     def test_symmetry_and_expansion(self, values):
         E = edge_matrix_from_lengths(EdgeLengths(*values))
         C = cofactors(E)
-        assert np.abs(C.c - np.transpose(C.c)).max() <= 1e-12 * (np.abs(C.c).max() + 1.0)
+        assert np.array_equal(C.c, np.transpose(C.c))
         assert expansion_residual(E, C) <= 1e-12 * (1.0 + abs(C.delta))
 
     @settings(max_examples=40, deadline=None)
