@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .angles import dihedral_angles
 from .core import (
@@ -81,39 +82,47 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _format_value(v) -> str:
+    """JSON text of a scalar other than a finite float."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        if math.isnan(v):
-            return "null"
-        if math.isinf(v):
-            return '"inf"' if v > 0 else '"-inf"'
-        return format(v, ".17g")
-    if v is None or isinstance(v, str):
-        return json.dumps(v)
+        return "null" if math.isnan(v) else ('"inf"' if v > 0 else '"-inf"')
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
     raise TypeError(f"unserializable value {v!r}")
 
 
-def _dump_json(obj, indent: int = 0) -> str:
-    """JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_dump_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_dump_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _format_value(obj)
+def _dump_json(obj) -> str:
+    """JSON with floats at 17 significant digits, two-space indented."""
+    parts: list[str] = []
+    _write_json(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(obj, pad: str, parts: list[str]) -> None:
+    """Append the JSON text of obj to parts; pad starts each of its lines."""
+    if isinstance(obj, float) and math.isfinite(obj):
+        parts.append(format(obj, ".17g"))
+    elif isinstance(obj, dict):
+        inner, sep = pad + "  ", "{"
+        for k, v in obj.items():
+            parts.append(f"{sep}{inner}{encode_basestring_ascii(str(k))}: ")
+            _write_json(v, inner, parts)
+            sep = ","
+        parts.append(pad + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for v in obj:
+            parts.append(sep + inner)
+            _write_json(v, inner, parts)
+            sep = ","
+        parts.append(pad + "]" if obj else "[]")
+    else:
+        parts.append(_format_value(obj))
 
 
 def _parse_inline_edges(text: str) -> dict:
@@ -181,19 +190,27 @@ def _lengths_from_document(doc: dict) -> EdgeLengths:
 def _settings(args, doc: dict):
     """Resolve tolerance / sample / seed defaults: flags beat the input
     document, which beats environment variables, which beat defaults."""
-    doc_cfg = doc.get("config") or {}
+    doc_cfg = doc.get("config", {})
+    if not isinstance(doc_cfg, dict):
+        raise _UsageError('input document "config" must be a JSON object')
 
     def pick(flag_value, doc_key, env_key, default, cast):
         if flag_value is not None:
-            return cast(flag_value)
+            return flag_value
         if doc_key in doc_cfg:
-            return cast(doc_cfg[doc_key])
-        if env_key in os.environ:
-            try:
-                return cast(os.environ[env_key])
-            except ValueError:
-                raise _UsageError(f"environment {env_key} does not parse")
-        return default
+            source, raw = f"config {doc_key}", doc_cfg[doc_key]
+        elif env_key in os.environ:
+            source, raw = f"environment {env_key}", os.environ[env_key]
+        else:
+            return default
+        try:
+            # JSON true is no number, and a seed of 1.5 is not 1
+            if isinstance(raw, bool) or (cast is int and isinstance(raw, float)
+                                         and not raw.is_integer()):
+                raise ValueError(raw)
+            return cast(raw)
+        except (TypeError, ValueError):
+            raise _UsageError(f"{source} does not parse")
 
     tol = pick(args.tol, "tol", "HYTET_TOL", 1e-10, float)
     mc_samples = pick(args.mc_samples, "mc_samples", "HYTET_MC_SAMPLES",

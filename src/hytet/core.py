@@ -189,13 +189,17 @@ def edge_matrix_from_lengths(lengths: EdgeLengths) -> EdgeMatrix:
                       shifted=_symmetric(0.0, gaps))
 
 
-def _det_and_cofactor_sum(m) -> tuple[float, float]:
-    """det M and the sum of the nine cofactors of a 3x3 matrix M."""
-    (a, b, c), (d, e, f), (g, h, k) = m
+def _det_and_cofactor_sum(a, b, c, d, e, f, g, h, k) -> tuple[float, float]:
+    """det M and the sum of the nine cofactors of the 3x3 matrix M, by rows."""
     c00, c01, c02 = e * k - f * h, f * g - d * k, d * h - e * g
     # rows 1 and 2 of the cofactor matrix, summed, factor into differences
     return (a * c00 + b * c01 + c * c02,
             c00 + c01 + c02 + (a - b) * (k - f) + (a - c) * (e - h) + (c - b) * (d - g))
+
+
+# (i, j, sign, rows, cols) of the 3x3 minor behind each cofactor c_ij, i <= j
+_MINORS = tuple((i, j, (-1.0) ** (i + j), (*range(i), *range(i + 1, 4)),
+                 (*range(j), *range(j + 1, 4))) for i in range(4) for j in range(i, 4))
 
 
 def cofactors(E: EdgeMatrix) -> CofactorSet:
@@ -214,12 +218,12 @@ def cofactors(E: EdgeMatrix) -> CofactorSet:
     u = E.shifted
     c = [[0.0] * 4 for _ in range(4)]
     c_u = [[0.0] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i, 4):
-            det_m, sum_m = _det_and_cofactor_sum(_minor(u, i, j))
-            sign = -1.0 if (i + j) % 2 else 1.0
-            c[i][j] = c[j][i] = sign * (det_m + sum_m)
-            c_u[i][j] = c_u[j][i] = sign * det_m
+    for i, j, sign, (r0, r1, r2), (k0, k1, k2) in _MINORS:
+        p, q, r = u[r0], u[r1], u[r2]
+        det_m, sum_m = _det_and_cofactor_sum(p[k0], p[k1], p[k2], q[k0], q[k1], q[k2],
+                                             r[k0], r[k1], r[k2])
+        c[i][j] = c[j][i] = sign * (det_m + sum_m)
+        c_u[i][j] = c_u[j][i] = sign * det_m
     det_u = sum(x * y for x, y in zip(u[0], c_u[0]))
     return CofactorSet(c=tuple(map(tuple, c)), delta=det_u + sum(map(sum, c_u)))
 

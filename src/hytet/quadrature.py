@@ -18,11 +18,18 @@ Levels halve the step in u; previously evaluated nodes are reused, so level
 k costs about as much as all previous levels combined.  The error estimate
 is the difference between the last two levels, which for this rule is a
 conservative bound once convergence has set in.
+
+Nodes depend on the level alone, so each level's node table is built once
+per process, on the first call that reaches it: levels 0-11 (max_levels 12)
+hold 18,433 nodes in 0.47 MB, levels 0-13 (``volume.TIGHT_QUADRATURE``) 73,729
+in 1.9 MB, and levels 0-5, the deepest requests were seen to reach, 9 kB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,16 +47,18 @@ class QuadratureOutcome:
     evaluations: int
 
 
-def _node(u: float, a: float, b: float, half: float):
-    """Abscissa, endpoint distances, and weight for parameter u."""
-    y = 0.5 * math.pi * math.sinh(u)
-    w = half * 0.5 * math.pi * math.cosh(u) / math.cosh(y) ** 2
-    # distance to the nearer endpoint, computed without cancellation:
-    # 1 - tanh(y) = 2 / (exp(2y) + 1)
-    dist = half * 2.0 / (math.exp(2.0 * abs(y)) + 1.0)
-    if u >= 0.0:
-        return b - dist, (b - a) - dist, dist, w
-    return a + dist, dist, (b - a) - dist, w
+@functools.cache
+def _level(level: int) -> tuple[float, bytes, array, array, array]:
+    """Step h and, for the new nodes u = k h of the level (every k at level 0,
+    odd k above) in increasing order, with y = (pi/2) sinh u: whether u >= 0,
+    cosh u, cosh(y)**2 and exp(2|y|) + 1."""
+    h = 0.5 ** level
+    n = int(_U_MAX / h)
+    us = [k * h for k in range(-n, n + 1) if level == 0 or k % 2]
+    ys = [0.5 * math.pi * math.sinh(u) for u in us]
+    return (h, bytes(u >= 0.0 for u in us), array("d", map(math.cosh, us)),
+            array("d", [math.cosh(y) ** 2 for y in ys]),
+            array("d", [math.exp(2.0 * abs(y)) + 1.0 for y in ys]))
 
 
 def integrate(
@@ -64,7 +73,7 @@ def integrate(
 
     Stops when consecutive refinement levels agree to the requested
     tolerance (whichever of abs_tol / rel_tol * |value| is larger), or
-    after ``max_levels`` halvings of the step.
+    after ``max_levels`` levels, that is ``max_levels - 1`` halvings.
     """
     if a == b:
         return QuadratureOutcome(0.0, 0.0, 0)
@@ -72,28 +81,28 @@ def integrate(
     if a > b:
         a, b = b, a
         sign = -1.0
-    half = 0.5 * (b - a)
+    width, half = b - a, 0.5 * (b - a)
+    # weight half * 0.5 * pi * cosh u / cosh(y)**2; distance to the nearer endpoint
+    # half * 2.0 / (exp(2|y|) + 1), that is half * (1 - tanh|y|) without cancellation
+    weight, scale = half * 0.5 * math.pi, half * 2.0
 
-    evaluations = 0
-    total = 0.0
-    h = 1.0
-    for k in range(-int(_U_MAX), int(_U_MAX) + 1):
-        x, da, db, w = _node(float(k), a, b, half)
-        if da > 0.0 and db > 0.0:
-            total += w * f(x, da, db)
-            evaluations += 1
-
-    error = math.inf
-    for level in range(1, max_levels):
-        h *= 0.5
+    evaluations, total, error = 0, 0.0, math.inf
+    # level 0 runs even when max_levels < 1
+    for level in range(max(max_levels, 1)):
+        h, upper, cu, cy2, den = _level(level)
         partial = 0.0
-        for k in range(-int(_U_MAX / h), int(_U_MAX / h) + 1):
-            if k % 2 == 0:
-                continue
-            x, da, db, w = _node(k * h, a, b, half)
+        for up, c, c2, d in zip(upper, cu, cy2, den):
+            dist = scale / d
+            if up:
+                x, da, db = b - dist, width - dist, dist
+            else:
+                x, da, db = a + dist, dist, width - dist
             if da > 0.0 and db > 0.0:
-                partial += w * f(x, da, db)
+                partial += weight * c / c2 * f(x, da, db)
                 evaluations += 1
+        if level == 0:
+            total = partial
+            continue
         refined = 0.5 * total + partial * h
         error = abs(refined - total)
         total = refined

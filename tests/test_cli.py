@@ -157,10 +157,85 @@ class TestInput:
         assert code != 64
         assert doc["volume"]["monte_carlo"]["error_estimate"] > 0
 
+    @pytest.mark.parametrize("config, message", [
+        ({"mc_samples": "abc"}, "config mc_samples does not parse"),
+        ({"tol": None}, "config tol does not parse"),
+        ({"tol": "tight"}, "config tol does not parse"),
+        ({"seed": 1.5}, "config seed does not parse"),
+        ({"mc_samples": 2000.5}, "config mc_samples does not parse"),
+        ({"seed": True}, "config seed does not parse"),
+        ({"seed": [1]}, "config seed does not parse"),
+        (7, 'input document "config" must be a JSON object'),
+        ([], 'input document "config" must be a JSON object'),
+        (None, 'input document "config" must be a JSON object'),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, config, message):
+        doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")},
+               "config": config}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["check", str(path)])
+        assert (code, out, err) == (64, "", f"hytet: input error: {message}\n")
+
+    def test_integral_config_numbers_are_accepted(self, tmp_path):
+        doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")},
+               "config": {"mc_samples": 2000.0, "seed": 7.0, "tol": 1}}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = invoke_json(["volume", "--validate", str(path)])
+        assert code == 0
+        diagnostics = out["volume"]["monte_carlo"]["diagnostics"]
+        assert (diagnostics["seed"], out["volume"]["monte_carlo"]["evaluations"]) == (7, 2000)
+
     def test_seventeen_significant_digits(self):
         code, out, _ = invoke(["check", "--edges", ONES])
         # l2 = arccosh((4c^2 - c - 1)/(c + 1)) at c = cosh 1, full precision
         assert "1.6680504579626612" in out
+
+
+class TestJsonLayout:
+    def test_golden_bytes(self):
+        # the exact bytes of the emitter: two-space indent, empty containers
+        # inline, floats at 17 significant digits, non-finite floats as null
+        # and "inf", strings and keys ASCII-escaped as json.dumps does
+        doc = {
+            "outer": {"list": [1, 2.5, [True, False, None], {}], "empty_list": [],
+                      "empty": {}, "tuple": (0.1, -0.0)},
+            "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "tenth": 0.1,
+            "big": 1e300, "tiny": 5e-324, "int": -7,
+            'q"b\\né∂': 'say "hi"\\ é€\n\t',
+            "none": None, "yes": True,
+        }
+        assert hytet.cli._dump_json(doc) == r"""{
+  "outer": {
+    "list": [
+      1,
+      2.5,
+      [
+        true,
+        false,
+        null
+      ],
+      {}
+    ],
+    "empty_list": [],
+    "empty": {},
+    "tuple": [
+      0.10000000000000001,
+      -0
+    ]
+  },
+  "nan": null,
+  "inf": "inf",
+  "-inf": "-inf",
+  "tenth": 0.10000000000000001,
+  "big": 1.0000000000000001e+300,
+  "tiny": 4.9406564584124654e-324,
+  "int": -7,
+  "q\"b\\n\u00e9\u2202": "say \"hi\"\\ \u00e9\u20ac\n\t",
+  "none": null,
+  "yes": true
+}"""
 
 
 class TestSweep:

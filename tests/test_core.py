@@ -122,6 +122,33 @@ class TestCofactors:
                 assert abs(Cp.entry(i, j) - C.entry(sigma[i], sigma[j])) <= 1e-11 * scale
 
 
+class TestCofactorsPinnedBits:
+    """cofactors() pinned to the last bit (repr literals), so that any change
+    to its arithmetic or summation order shows here first."""
+
+    def test_all_ones(self):
+        C = cofactors(edge_matrix_from_lengths(EdgeLengths(*[1.0] * 6)))
+        d, o = 1.2051584134863016, -0.45511091878748666
+        assert C.c == tuple(tuple(d if i == j else o for j in range(4)) for i in range(4))
+        assert C.delta == -0.9016601229355298
+
+    def test_scalene(self):
+        C = cofactors(edge_matrix_from_lengths(EdgeLengths(
+            2.965137128963416, 1.3027372332455953, 3.620365722713066,
+            2.7711659744596884, 3.3277033833681555, 3.444634108222735)))
+        assert C.c == (
+            (3006.1982095372105, -124.42856954304744, -3465.9369937570436,
+             -94.06483524059),
+            (-124.42856954304744, 559.8915468416837, -334.04934749986603,
+             -249.35927769525964),
+            (-3465.9369937570436, -334.04934749986603, 4434.809843823742,
+             -109.52397812381989),
+            (-94.06483524059, -249.35927769525964, -109.52397812381989,
+             146.35995312292806),
+        )
+        assert C.delta == -6808.982684148418
+
+
 class TestJacobiResiduals:
     def test_all_ones_matrix_vanishes_exactly(self):
         E = edge_matrix_from_lengths(EdgeLengths(0, 0, 0, 0, 0, 0))

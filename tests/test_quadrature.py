@@ -58,3 +58,34 @@ class TestTanhSinh:
             assert da + db == pytest.approx(3.0, rel=1e-12)
             # x may round onto an endpoint; the distances never do
             assert 2.0 <= x <= 5.0
+
+
+class TestPinnedBits:
+    """value, error and evaluations pinned to the last bit (repr literals).
+
+    These hold the rule's node table, weights, distances and summation order
+    fixed: any change to how a node is computed shows here first.
+    """
+
+    @pytest.mark.parametrize("f, a, b, kwargs, value, error, evaluations", [
+        (plain(math.exp), 0.0, 1.0, {},
+         1.7182818284590455, 1.5416556919944924e-11, 73),
+        (lambda x, da, db: 1.0 / math.sqrt(da), 0.0, 1.0, {},
+         2.0, 3.1086244689504383e-15, 73),
+        (lambda x, da, db: math.log(da), 0.0, 1.0, {},
+         -1.0, 1.5121237595394632e-13, 73),
+        (plain(math.exp), 1.0, 0.0, {},
+         -1.7182818284590455, 1.5416556919944924e-11, 73),
+        (lambda x, da, db: math.log(da), 0.0, 1.0,
+         {"abs_tol": 1e-13, "rel_tol": 1e-13, "max_levels": 14},
+         -1.0, 0.0, 145),
+        # a kink at 0.3 never converges, so every one of the 14 levels runs
+        (plain(lambda x: abs(x - 0.3)), 0.0, 1.0,
+         {"abs_tol": 1e-13, "rel_tol": 1e-13, "max_levels": 14},
+         0.2900000005710371, 2.4700408385314176e-10, 73729),
+    ], ids=["exp", "inverse_sqrt", "log", "reversed", "tight_log", "tight_kink"])
+    def test_outcome_is_bit_exact(self, f, a, b, kwargs, value, error, evaluations):
+        out = integrate(f, a, b, **kwargs)
+        assert out.value == value
+        assert out.error == error
+        assert out.evaluations == evaluations
