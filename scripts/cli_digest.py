@@ -29,6 +29,9 @@ EXTRA_CASES = (
     ",".join(f"{k}={v!r}" for k, v in zip(EDGE_KEYS, SCALENE)),
     "l12=3,l13=1,l14=1,l23=1,l24=1,l34=1",              # triangle violation
     "l12=1,l13=1,l14=1,l23=1,l24=1,l34=2",              # l34 out of range
+    "l12=1,l13=1,l14=1,l23=1,l24=1,l34=0",              # flat lower fold bound
+    # 5e-6 below l2, so validate skips its Schlafli check (step 1e-5)
+    "l12=1,l13=1,l14=1,l23=1,l24=1,l34=1.6680454579626611",
     ",".join(f"{k}=0.01" for k in EDGE_KEYS),           # regular, a = 0.01
     ",".join(f"{k}=15" for k in EDGE_KEYS),             # regular, a = 15
     "l12=x,l13=1,l14=1,l23=1,l24=1,l34=1",              # malformed

@@ -145,17 +145,18 @@ def _load_document(args) -> dict:
         return {"edges": _parse_inline_edges(args.edges)}
     if not args.input:
         raise _UsageError("no input: pass a JSON document path, '-', or --edges")
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
-            raise _UsageError(f"cannot read input file: {e}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise _UsageError(f"cannot read input file: {e}")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # JSONDecodeError, an integer past the digit limit, or too deep nesting
         raise _UsageError(f"input is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise _UsageError("input document must be a JSON object")
@@ -179,8 +180,10 @@ def _lengths_from_document(doc: dict) -> EdgeLengths:
     for key in EDGE_KEYS:
         raw = edges[key]
         try:
+            if isinstance(raw, bool):  # JSON true is no number
+                raise TypeError(raw)
             values[key] = float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _UsageError(f"edge {key} does not parse as a number: {raw!r}")
         if not math.isfinite(values[key]) or values[key] < 0:
             raise _UsageError(f"edge {key} must be finite and nonnegative, got {raw!r}")
@@ -209,7 +212,7 @@ def _settings(args, doc: dict):
                                          and not raw.is_integer()):
                 raise ValueError(raw)
             return cast(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _UsageError(f"{source} does not parse")
 
     tol = pick(args.tol, "tol", "HYTET_TOL", 1e-10, float)
@@ -229,6 +232,12 @@ def _settings(args, doc: dict):
 
 def _echo(lengths: EdgeLengths) -> dict:
     return {"edges": lengths.as_dict()}
+
+
+def _report_doc(command: str, report) -> dict:
+    """Opening keys of the output document of a command that ran exists."""
+    return {"input": _echo(report.lengths), "command": command,
+            "existence": _existence_block(report)}
 
 
 def _existence_block(report) -> dict:
@@ -288,53 +297,50 @@ def _require_tetrahedron(lengths: EdgeLengths):
 
 def _cmd_check(lengths, args, out, quad, mc_samples, seed) -> int:
     report = exists(lengths)
-    doc = {
-        "input": _echo(lengths),
-        "command": "check",
-        "existence": _existence_block(report),
-    }
-    _emit(doc, args, out)
+    _emit(_report_doc("check", report), args, out)
     return EXIT_OK if report.exists else EXIT_NOT_A_TETRAHEDRON
 
 
 def _cmd_angles(lengths, args, out, quad, mc_samples, seed) -> int:
     report = _require_tetrahedron(lengths)
     blocks, _ = _angles_block(cofactors(edge_matrix_from_lengths(lengths)))
-    doc = {
-        "input": _echo(lengths),
-        "command": "angles",
-        "existence": _existence_block(report),
-        **blocks,
-    }
-    _emit(doc, args, out)
+    _emit({**_report_doc("angles", report), **blocks}, args, out)
     return EXIT_OK
+
+
+def _check(value: float, limit: float, key: str = "value") -> dict:
+    return {key: value, "limit": limit, "pass": value < limit}
+
+
+def _cross_routes(command: str, report, blocks, res, sf, emb, mc_samples, seed):
+    """Monte Carlo volume, the document `validate` and `volume --validate`
+    share before their verdicts, and the edge volume's gaps to the Sforza
+    volume and, in standard errors, to the Monte Carlo one.  Each caller
+    keeps its own order of the routes before it: where two fail, the first
+    one is reported."""
+    mc = volume_monte_carlo(emb, MonteCarloConfig(seed=seed, samples=mc_samples))
+    doc = _report_doc(command, report)
+    doc["volume"] = {"edge_integral": _volume_block(res), "sforza": _volume_block(sf),
+                     "monte_carlo": _volume_block(mc)}
+    doc.update(blocks)
+    z = abs(res.value - mc.value) / mc.error_estimate if mc.error_estimate else 0.0
+    return doc, abs(res.value - sf.value), z
 
 
 def _cmd_volume(lengths, args, out, quad, mc_samples, seed) -> int:
     report = exists(lengths)
-    res = volume_edges(lengths, quad)
-    doc = {
-        "input": _echo(lengths),
-        "command": "volume",
-        "existence": _existence_block(report),
-        "volume": {"edge_integral": _volume_block(res)},
-    }
+    res = volume_edges(report, quad)
     if args.validate:
         E = edge_matrix_from_lengths(lengths)
         blocks, th = _angles_block(cofactors(E))
-        doc.update(blocks)
         sf = volume_sforza(th, quad)
-        emb = embed_vertices(E)
-        mc = volume_monte_carlo(emb, MonteCarloConfig(seed=seed, samples=mc_samples))
-        doc["volume"]["sforza"] = _volume_block(sf)
-        doc["volume"]["monte_carlo"] = _volume_block(mc)
-        gap = abs(res.value - sf.value)
-        z = abs(res.value - mc.value) / mc.error_estimate if mc.error_estimate else 0.0
-        doc["agreement"] = {
-            "edge_vs_sforza": {"gap": gap, "limit": ROUTE_GAP_LIMIT,
-                               "pass": gap < ROUTE_GAP_LIMIT},
-            "monte_carlo_z": {"z": z, "limit": MC_Z_LIMIT, "pass": z < MC_Z_LIMIT},
-        }
+        doc, gap, z = _cross_routes("volume", report, blocks, res, sf,
+                                    embed_vertices(E), mc_samples, seed)
+        doc["agreement"] = {"edge_vs_sforza": _check(gap, ROUTE_GAP_LIMIT, "gap"),
+                            "monte_carlo_z": _check(z, MC_Z_LIMIT, "z")}
+    else:
+        doc = _report_doc("volume", report)
+        doc["volume"] = {"edge_integral": _volume_block(res)}
     _emit(doc, args, out)
     return EXIT_OK
 
@@ -362,55 +368,31 @@ def _csv_number(v: float) -> str:
 
 def _cmd_validate(lengths, args, out, quad, mc_samples, seed) -> int:
     report = _require_tetrahedron(lengths)
-
     E = edge_matrix_from_lengths(lengths)
     C = cofactors(E)
     jac = jacobi_residuals(E, C).max_relative
-
     blocks, th = _angles_block(C)
     emb = embed_vertices(E)
     th_geo = dihedral_angles_geometric(emb)
-    angle_gap = max(
-        abs(a - b) for a, b in zip(th.as_tuple(), th_geo.as_tuple())
-    )
-
-    res = volume_edges(lengths, quad)
+    angle_gap = max(abs(a - b) for a, b in zip(th.as_tuple(), th_geo.as_tuple()))
+    res = volume_edges(report, quad)
     sf = volume_sforza(th, quad)
-    mc = volume_monte_carlo(emb, MonteCarloConfig(seed=seed, samples=mc_samples))
-    route_gap = abs(res.value - sf.value)
-    z = abs(res.value - mc.value) / mc.error_estimate if mc.error_estimate else 0.0
-
+    doc, route_gap, z = _cross_routes("validate", report, blocks, res, sf, emb,
+                                      mc_samples, seed)
     checks = {
-        "jacobi_max_relative": {"value": jac, "limit": JACOBI_LIMIT,
-                                "pass": jac < JACOBI_LIMIT},
-        "angle_routes_max_gap": {"value": angle_gap, "limit": ANGLE_GAP_LIMIT,
-                                 "pass": angle_gap < ANGLE_GAP_LIMIT},
-        "edge_vs_sforza": {"value": route_gap, "limit": ROUTE_GAP_LIMIT,
-                           "pass": route_gap < ROUTE_GAP_LIMIT},
-        "monte_carlo_z": {"value": z, "limit": MC_Z_LIMIT, "pass": z < MC_Z_LIMIT},
+        "jacobi_max_relative": _check(jac, JACOBI_LIMIT),
+        "angle_routes_max_gap": _check(angle_gap, ANGLE_GAP_LIMIT),
+        "edge_vs_sforza": _check(route_gap, ROUTE_GAP_LIMIT),
+        "monte_carlo_z": _check(z, MC_Z_LIMIT),
     }
-    if not report.degenerate:
-        h = 1e-5
-        if lengths.l34 + h < report.bounds.l2:
-            resid = schlafli_residual(lengths, h)
-            checks["schlafli_residual"] = {"value": resid, "limit": SCHLAFLI_LIMIT,
-                                           "pass": resid < SCHLAFLI_LIMIT}
-    all_pass = all(c["pass"] for c in checks.values())
-    doc = {
-        "input": _echo(lengths),
-        "command": "validate",
-        "existence": _existence_block(report),
-        "volume": {
-            "edge_integral": _volume_block(res),
-            "sforza": _volume_block(sf),
-            "monte_carlo": _volume_block(mc),
-        },
-        **blocks,
-        "checks": checks,
-        "pass": all_pass,
-    }
+    h = 1e-5
+    if not report.degenerate and lengths.l34 + h < report.bounds.l2:
+        resid = schlafli_residual(report, h)
+        checks["schlafli_residual"] = _check(resid, SCHLAFLI_LIMIT)
+    doc["checks"] = checks
+    doc["pass"] = all(c["pass"] for c in checks.values())
     _emit(doc, args, out)
-    return EXIT_OK if all_pass else EXIT_NUMERICAL
+    return EXIT_OK if doc["pass"] else EXIT_NUMERICAL
 
 
 def _emit(doc: dict, args, out) -> None:

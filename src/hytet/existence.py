@@ -78,7 +78,9 @@ class ExistenceReport:
     ``tri_123_diff``, ``tri_124_sum``, ``tri_124_diff``, ``l34_lower``,
     ``l34_upper``.  ``degenerate`` is set when any slack sits within
     tolerance of zero, i.e. the tetrahedron exists but is flat.
-    ``failed`` lists the names of violated inequalities.
+    ``failed`` lists the names of violated inequalities.  ``lengths`` are
+    the lengths judged; the edge-route functions of :mod:`hytet.volume`
+    accept the report in their place and then skip the test.
     """
 
     tri_123_ok: bool
@@ -89,6 +91,7 @@ class ExistenceReport:
     exists: bool
     slacks: dict[str, float]
     failed: tuple[str, ...]
+    lengths: EdgeLengths
 
 
 def _near_zero(slack: float, scale: float) -> bool:
@@ -226,6 +229,7 @@ def exists(lengths: EdgeLengths) -> ExistenceReport:
         exists=tet_exists,
         slacks=slacks,
         failed=tuple(failed),
+        lengths=lengths,
     )
 
 

@@ -87,8 +87,8 @@ from .errors import (
     NotATetrahedronError,
     NumericalError,
 )
-# unused here, but hytetbench's tracer patches hytet.volume.l34_bounds
-from .existence import exists, l34_bounds  # noqa: F401
+# l34_bounds is unused here, but hytetbench's tracer patches it
+from .existence import ExistenceReport, exists, l34_bounds  # noqa: F401
 from . import quadrature
 
 __all__ = [
@@ -284,21 +284,22 @@ class _EdgeIntegrand:
         return value
 
 
-def _edge_integrand(lengths: EdgeLengths):
+def _edge_integrand(lengths: EdgeLengths | ExistenceReport):
     """Existence report and integrand of lengths that bound a tetrahedron.
 
-    Raises ExistenceError (with the report attached) when they do not, and
-    NumericalError when the integrand's factored roots disagree with the
-    closed-form fold bounds.
+    Takes the lengths or their ``exists`` report, which then stands in for
+    a second test.  Raises ExistenceError (with the report attached) when
+    they do not bound one, and NumericalError when the integrand's factored
+    roots disagree with the closed-form fold bounds.
     """
-    report = exists(lengths)
+    report = lengths if isinstance(lengths, ExistenceReport) else exists(lengths)
     if not report.exists:
         raise ExistenceError(
             "no compact hyperbolic tetrahedron has these edge lengths: "
             + ", ".join(report.failed),
             report=report,
         )
-    integ = _EdgeIntegrand(lengths)
+    integ = _EdgeIntegrand(report.lengths)
     bounds = report.bounds
     limit = DEFAULT_TOL.bounds_match * (1.0 + abs(bounds.C) + bounds.S)
     if (abs(integ.x_lo - (bounds.C - bounds.S)) > limit
@@ -348,16 +349,20 @@ def _result_from_quadrature(
 
 
 def volume_edges(
-    lengths: EdgeLengths, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+    lengths: EdgeLengths | ExistenceReport,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> VolumeResult:
     """Volume by the edge-length integral from the flat bound l1 to l34.
 
-    Raises ExistenceError (with the report attached) when the lengths do
-    not satisfy the existence conditions.  Inputs on the degenerate
-    boundary return an exact zero for l34 at the lower bound, and integrate
-    normally otherwise (the volume also vanishes at the upper bound).
+    ``lengths`` may be the ``exists`` report of the lengths, which spares
+    a second existence test.  Raises ExistenceError (with the report
+    attached) when the lengths do not satisfy the existence conditions.
+    Inputs on the degenerate boundary return an exact zero for l34 at the
+    lower bound, and integrate normally otherwise (the volume also vanishes
+    at the upper bound).
     """
     report, integ = _edge_integrand(lengths)
+    lengths = report.lengths
 
     diagnostics = {
         "l1": integ.l1,
@@ -375,7 +380,7 @@ def volume_edges(
 
 
 def volume_profile(
-    lengths: EdgeLengths,
+    lengths: EdgeLengths | ExistenceReport,
     samples: int,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> list[tuple[float, float, float]]:
@@ -383,7 +388,8 @@ def volume_profile(
 
     The grid runs between the integrand's own flat roots l1 and l2, where V
     vanishes and dV/dt is reported as +inf and -inf; V sums one quadrature
-    per segment.  ``lengths.l34`` takes part only in the existence check.
+    per segment.  ``lengths`` may be their ``exists`` report; l34 takes
+    part only in the existence check.
     """
     _, integ = _edge_integrand(lengths)
     if samples < 2:
@@ -512,7 +518,7 @@ def volume_sforza(
 
 
 def schlafli_residual(
-    lengths: EdgeLengths,
+    lengths: EdgeLengths | ExistenceReport,
     h: float,
     cfg: QuadratureConfig = TIGHT_QUADRATURE,
 ) -> float:
@@ -528,7 +534,7 @@ def schlafli_residual(
     residual of these one-sided differences scales as h^2 (the coefficient
     is the derivative of the 3-4 angle, whose own length coefficient moves
     with the fold).  Requires a strictly interior configuration with margin
-    for the step.
+    for the step.  ``lengths`` may be their ``exists`` report.
     """
     from .core import cofactors, edge_matrix_from_lengths
     from .angles import dihedral_angles
@@ -536,6 +542,7 @@ def schlafli_residual(
     if not 0.0 < h < 0.1:
         raise DomainError(f"step h must be in (0, 0.1), got {h!r}")
     report, integ = _edge_integrand(lengths)
+    lengths = report.lengths
     if report.degenerate:
         raise NotATetrahedronError(
             "the variational residual needs a strictly interior configuration"

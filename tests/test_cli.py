@@ -168,6 +168,7 @@ class TestInput:
         (7, 'input document "config" must be a JSON object'),
         ([], 'input document "config" must be a JSON object'),
         (None, 'input document "config" must be a JSON object'),
+        ({"tol": 10 ** 400}, "config tol does not parse"),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, config, message):
         doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")},
@@ -186,6 +187,29 @@ class TestInput:
         assert code == 0
         diagnostics = out["volume"]["monte_carlo"]["diagnostics"]
         assert (diagnostics["seed"], out["volume"]["monte_carlo"]["evaluations"]) == (7, 2000)
+
+    @pytest.mark.parametrize("raw", [True, 10 ** 400], ids=["true", "1e400"])
+    def test_malformed_edge_value_is_usage_error(self, tmp_path, raw):
+        doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")}}
+        doc["edges"]["l12"] = raw
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(["check", str(path)])
+        assert (code, out) == (64, "")
+        assert err == f"hytet: input error: edge l12 does not parse as a number: {raw!r}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (b"\xff\xfe{}", "cannot read input file"),
+        (b"[" * 100_000 + b"]" * 100_000, "input is not valid JSON"),
+        # beyond the int-to-str digit limit, which json.loads enforces
+        (b'{"edges": {"l12": 1' + b"0" * 4400 + b"}}", "input is not valid JSON"),
+    ], ids=["not-utf8", "deep-nesting", "digit-limit"])
+    def test_unreadable_input_is_usage_error(self, tmp_path, text, message):
+        path = tmp_path / "input.json"
+        path.write_bytes(text)
+        code, out, err = invoke(["check", str(path)])
+        assert (code, out) == (64, "")
+        assert err.startswith(f"hytet: input error: {message}")
 
     def test_seventeen_significant_digits(self):
         code, out, _ = invoke(["check", "--edges", ONES])
@@ -365,6 +389,32 @@ class TestRunState:
         assert code == 64
         code, _, _ = invoke(["check", "--edges", ONES])
         assert code == 0
+
+
+class TestOneExistenceTest:
+    """A request runs the existence test once, however many routes use it."""
+
+    @pytest.mark.parametrize("edges", [ONES, "l12=3,l13=1,l14=1,l23=1,l24=1,l34=1"],
+                             ids=["valid", "invalid"])
+    @pytest.mark.parametrize("command", [
+        ["check"],
+        ["angles"],
+        ["volume"],
+        ["volume", "--validate", "--mc-samples", "2000"],
+        ["validate", "--mc-samples", "2000"],
+        ["sweep", "--samples", "5"],
+    ], ids=" ".join)
+    def test_exists_runs_once(self, monkeypatch, command, edges):
+        calls = []
+        # counted where each caller looks the function up
+        for module in (hytet.cli, hytet.volume):
+            def counted(lengths, exists=module.exists):
+                calls.append(lengths)
+                return exists(lengths)
+            monkeypatch.setattr(module, "exists", counted)
+        code, _, _ = invoke([*command, "--edges", edges])
+        assert code == (0 if edges == ONES else 2)
+        assert len(calls) == 1
 
 
 class TestImportCost:

@@ -9,19 +9,23 @@ from hytet import (
     ExistenceError,
     InconsistentAnglesError,
     DihedralAngles,
+    NotATetrahedronError,
     QuadratureConfig,
     cofactors,
     dihedral_angles,
     edge_matrix_from_lengths,
     euclidean_volume_cm,
+    exists,
     l34_bounds,
     sample_lengths,
     schlafli_residual,
     volume_derivative,
     volume_edges,
+    volume_profile,
     volume_regular,
     volume_sforza,
 )
+from hytet import volume as volume_module
 from hytet.volume import TIGHT_QUADRATURE
 
 FIVE_ONES = dict(l12=1.0, l13=1.0, l14=1.0, l23=1.0, l24=1.0)
@@ -216,6 +220,50 @@ class TestSchlafliResidual:
     def test_degenerate_input_rejected(self):
         with pytest.raises(Exception):
             schlafli_residual(EdgeLengths(**FIVE_ONES, l34=0.0), 1e-5)
+
+
+class TestReportInPlaceOfLengths:
+    """The edge routes take the existence report of their lengths and then
+    answer exactly as they do from the lengths, without a second test."""
+
+    @pytest.fixture
+    def cases(self, random_cases):
+        return [EdgeLengths(**FIVE_ONES, l34=1.0)] + random_cases[:10]
+
+    def test_same_results(self, cases, monkeypatch):
+        reports = [exists(L) for L in cases]
+        expected = [(volume_edges(L), volume_profile(L, 5), schlafli_residual(L, 1e-5))
+                    for L in cases]
+
+        def refuse(lengths):
+            raise AssertionError("a route given a report ran the existence test")
+
+        monkeypatch.setattr(volume_module, "exists", refuse)
+        for report, (res, rows, resid) in zip(reports, expected):
+            assert volume_edges(report) == res
+            assert volume_profile(report, 5) == rows
+            assert schlafli_residual(report, 1e-5) == resid
+
+    def test_degenerate_report(self):
+        L = EdgeLengths(**FIVE_ONES, l34=0.0)
+        assert volume_edges(exists(L)) == volume_edges(L)
+        with pytest.raises(NotATetrahedronError):
+            schlafli_residual(exists(L), 1e-5)
+
+    @pytest.mark.parametrize("route", [
+        volume_edges,
+        lambda report: volume_profile(report, 5),
+        lambda report: schlafli_residual(report, 1e-5),
+    ], ids=["edges", "profile", "schlafli"])
+    def test_failed_report_is_raised_with_itself(self, route):
+        report = exists(EdgeLengths(**FIVE_ONES, l34=2.0))
+        assert not report.exists
+        with pytest.raises(ExistenceError) as err:
+            route(report)
+        assert err.value.report is report
+
+    def test_report_names_its_lengths(self, all_ones):
+        assert exists(all_ones).lengths is all_ones
 
 
 class TestQuadratureConfig:
