@@ -22,6 +22,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .angles import dihedral_angles
+from .config import (ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_SAMPLES_MAX, MC_Z_LIMIT,
+                     ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT)
 from .core import (
     EDGE_KEYS,
     CofactorSet,
@@ -61,13 +63,6 @@ EXIT_NUMERICAL = 70
 DEFAULT_SEED = 42
 DEFAULT_MC_SAMPLES = 200_000
 DEFAULT_SWEEP_SAMPLES = 33
-
-# validation thresholds used by `validate` and `volume --validate`
-JACOBI_LIMIT = 1e-10
-ANGLE_GAP_LIMIT = 1e-9
-ROUTE_GAP_LIMIT = 1e-6
-MC_Z_LIMIT = 4.0
-SCHLAFLI_LIMIT = 1e-8
 
 
 class _UsageError(Exception):
@@ -224,6 +219,8 @@ def _settings(args, doc: dict):
     if mc_samples < 2:
         # the Monte Carlo standard error needs two samples
         raise _UsageError("mc-samples must be >= 2")
+    if mc_samples > MC_SAMPLES_MAX:
+        raise _UsageError(f"mc-samples must be <= {MC_SAMPLES_MAX}")
     if not 0 <= seed < 2 ** 64:
         raise _UsageError("seed must fit in 64 unsigned bits")
     quad = QuadratureConfig(abs_tol=tol, rel_tol=tol)

@@ -1,4 +1,4 @@
-"""Centralized numerical tolerances.
+"""Centralized numerical tolerances and validation limits.
 
 All magic thresholds used across the package live in one frozen record so
 they can be audited in one place; every module reads ``DEFAULT_TOL``.
@@ -42,3 +42,11 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# `validate` and `volume --validate`: the limits they check, the sample cap
+JACOBI_LIMIT = 1e-10
+ANGLE_GAP_LIMIT = 1e-9
+ROUTE_GAP_LIMIT = 1e-6
+MC_Z_LIMIT = 4.0
+SCHLAFLI_LIMIT = 1e-8
+MC_SAMPLES_MAX = 10**8  # about 8 s of sampling at 84 ms per 10^6 samples

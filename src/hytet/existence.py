@@ -135,9 +135,7 @@ def l34_bounds(
     ok123, ok124, slacks = triangle_checks(probe)
     if not (ok123 and ok124):
         bad = [k for k, v in slacks.items() if v < 0]
-        raise NotATetrahedronError(
-            f"face triangle inequality violated: {', '.join(bad)}"
-        )
+        raise NotATetrahedronError(f"face triangle inequality violated: {', '.join(bad)}")
 
     ch = math.cosh
     csch2 = 1.0 / math.sinh(l12) ** 2
@@ -194,39 +192,24 @@ def exists(lengths: EdgeLengths) -> ExistenceReport:
     """
     ok123, ok124, slacks = triangle_checks(lengths)
     scale = max(lengths.as_tuple())
-
-    failed = [k for k, v in slacks.items() if v < 0 and not _near_zero(v, scale)]
+    hinge_ok = lengths.l12 > DEFAULT_TOL.boundary
     bounds = None
-    l34_in_range = False
-    if lengths.l12 <= DEFAULT_TOL.boundary:
-        failed.append("l12_positive")
-    elif ok123 and ok124:
-        bounds = l34_bounds(
-            lengths.l12, lengths.l13, lengths.l14, lengths.l23, lengths.l24
-        )
+    if hinge_ok and ok123 and ok124:
+        bounds = l34_bounds(*lengths.as_tuple()[:5])
         slacks["l34_lower"] = lengths.l34 - bounds.l1
         slacks["l34_upper"] = bounds.l2 - lengths.l34
-        l34_in_range = all(
-            slacks[k] >= 0 or _near_zero(slacks[k], scale)
-            for k in ("l34_lower", "l34_upper")
-        )
-        if not l34_in_range:
-            failed.extend(
-                k for k in ("l34_lower", "l34_upper")
-                if slacks[k] < 0 and not _near_zero(slacks[k], scale)
-            )
-
-    tet_exists = ok123 and ok124 and l34_in_range and "l12_positive" not in failed
-    degenerate = any(_near_zero(v, scale) for v in slacks.values())
-    if lengths.l12 <= DEFAULT_TOL.boundary:
-        degenerate = True
+    failed = [k for k, v in slacks.items() if v < 0 and not _near_zero(v, scale)]
+    if not hinge_ok:
+        failed.append("l12_positive")
+    # with bounds found, every face slack passed, so only l34 can have failed
+    l34_in_range = bounds is not None and not failed
     return ExistenceReport(
         tri_123_ok=ok123,
         tri_124_ok=ok124,
         bounds=bounds,
         l34_in_range=l34_in_range,
-        degenerate=degenerate,
-        exists=tet_exists,
+        degenerate=not hinge_ok or any(_near_zero(v, scale) for v in slacks.values()),
+        exists=l34_in_range,
         slacks=slacks,
         failed=tuple(failed),
         lengths=lengths,

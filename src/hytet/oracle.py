@@ -30,9 +30,8 @@ check and not a tautology:
   (seed, samples).
 
 * ``euclidean_volume_cm`` and ``lobachevsky`` (half the Clausen function
-  Cl2(2x), summed from a fixed 20-term Bernoulli series) supply the
-  flat-limit and ideal-limit reference values used to sandwich the
-  hyperbolic volume.
+  Cl2(2x), :func:`hytet.volume.clausen`) supply the flat-limit and
+  ideal-limit reference values used to sandwich the hyperbolic volume.
 
 numpy is imported only inside the functions that do array work.
 """
@@ -44,10 +43,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .angles import DihedralAngles
-from .config import DEFAULT_TOL
-from .core import EDGE_PAIRS, EdgeLengths, EdgeMatrix
+from .config import DEFAULT_TOL, MC_SAMPLES_MAX
+from .core import EDGE_PAIRS, EdgeLengths, EdgeMatrix, opposite_pair
 from .errors import DegenerateError, DomainError, NotATetrahedronError
-from .volume import VolumeResult
+from .volume import VolumeResult, clausen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,17 +91,18 @@ class VertexEmbedding:
 class MonteCarloConfig:
     """Sampling parameters for the Klein-model volume estimator.
 
-    Identical (seed, samples) give bit-identical results.  At least two
-    samples are required: one sample has no spread, so its standard error
-    would read 0 and any agreement check against it would pass vacuously.
+    Identical (seed, samples) give bit-identical results.  Samples run
+    from 2 (one sample has no spread: its standard error of 0 would pass
+    any check) to ``MC_SAMPLES_MAX``, which bounds the run time.
     """
 
     seed: int
     samples: int
 
     def __post_init__(self):
-        if self.samples < 2:
-            raise DomainError(f"samples must be >= 2, got {self.samples!r}")
+        if not 2 <= self.samples <= MC_SAMPLES_MAX:
+            raise DomainError(
+                f"samples must be in [2, {MC_SAMPLES_MAX}], got {self.samples!r}")
 
 
 def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:
@@ -183,7 +183,7 @@ def dihedral_angles_geometric(emb: VertexEmbedding) -> DihedralAngles:
 
     values = {}
     for (i, j) in EDGE_PAIRS:
-        k, l = (m for m in range(4) if m not in (i, j))
+        k, l = opposite_pair(i, j)
         side_kl = face_angle(k, j, l)
         side_ki = face_angle(k, j, i)
         side_li = face_angle(l, j, i)
@@ -279,35 +279,6 @@ def euclidean_volume_cm(lengths: EdgeLengths) -> float:
     return math.sqrt(cm / 288.0)
 
 
-def _cl2_coefficients(terms: int) -> tuple[float, ...]:
-    """|B_2k| / (2k (2k+1)!) for k = terms, ..., 1 (Horner order), from the
-    integer tangent numbers T_k = 1, 2, 16, 272, ... and the exact identity
-    |B_2k| = 2k T_k / (4^k (4^k - 1)) (Brent & Harvey, 2011)."""
-    t = [0] + [math.factorial(k - 1) for k in range(1, terms + 1)]
-    for k in range(2, terms + 1):
-        for j in range(k, terms + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return tuple(t[k] / (4**k * (4**k - 1) * math.factorial(2 * k + 1))
-                 for k in range(terms, 0, -1))
-
-
-_CL2_COEFFS = _cl2_coefficients(20)
-
-
-def _cl2(t: float) -> float:
-    """Clausen function Cl2(t) = t - t log|t| + sum_k |B_2k| t^(2k+1) /
-    (2k (2k+1)!) on [-pi, pi] (Lewin, Polylogarithms and Associated
-    Functions, 1981, ch. 4); the tail after 20 terms is at most 1.1e-15."""
-    t = math.remainder(t, 2.0 * math.pi)
-    if t == 0.0:
-        return 0.0
-    s = t * t
-    acc = 0.0
-    for c in _CL2_COEFFS:
-        acc = acc * s + c
-    return t - t * math.log(abs(t)) + t * s * acc
-
-
 def lobachevsky(x: float) -> float:
     """The log-sine integral L(x) = -integral 0..x of log|2 sin u| du.
 
@@ -315,6 +286,4 @@ def lobachevsky(x: float) -> float:
     [-10, 10] against mpmath; beyond that, reducing by the rounded 2 pi
     adds 1.2e-16 |log|2 sin x|| per period (1.4e-11 at x = 1e6).
     """
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x!r}")
-    return 0.5 * _cl2(2.0 * x)
+    return 0.5 * clausen(2.0 * x)

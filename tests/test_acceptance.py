@@ -32,6 +32,7 @@ from hytet import (
     volume_sforza,
 )
 from hytet.cli import run
+from hytet.config import ANGLE_GAP_LIMIT, JACOBI_LIMIT, ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT
 
 SEED = 20240817
 N_CASES = 100
@@ -63,8 +64,8 @@ def test_criterion_1_cofactor_rule_matches_geometry(cases):
     elapsed = time.perf_counter() - start
     report(
         "criterion 1 (cofactor cosine rule vs geometry)",
-        worst < 1e-9 and elapsed < 10.0,
-        f"max angle gap {worst:.3e} rad (< 1e-9), {elapsed:.1f}s (< 10s)",
+        worst < ANGLE_GAP_LIMIT and elapsed < 10.0,
+        f"max angle gap {worst:.3e} rad (< {ANGLE_GAP_LIMIT:g}), {elapsed:.1f}s (< 10s)",
     )
 
 
@@ -86,8 +87,8 @@ def test_criterion_2_three_volume_routes_agree(cases):
     elapsed = time.perf_counter() - start
     report(
         "criterion 2 (edge vs angle vs Monte Carlo)",
-        worst_gap < 1e-6 and mc_hits >= 97 and elapsed < 120.0,
-        f"max |edge - angle| {worst_gap:.3e} (< 1e-6), Monte Carlo within "
+        worst_gap < ROUTE_GAP_LIMIT and mc_hits >= 97 and elapsed < 120.0,
+        f"max |edge - angle| {worst_gap:.3e} (< {ROUTE_GAP_LIMIT:g}), Monte Carlo within "
         f"3 sigma in {mc_hits}/100 (>= 97), {elapsed:.1f}s (< 120s)",
     )
 
@@ -102,8 +103,9 @@ def test_criterion_3_cofactor_signs_and_identities(cases):
         worst_rel = max(worst_rel, jacobi_residuals(E, C).max_relative)
     report(
         "criterion 3 (diagonal cofactors, determinant sign, identities)",
-        signs_ok and worst_rel < 1e-10,
-        f"signs ok on 100 cases, max identity residual {worst_rel:.3e} (< 1e-10)",
+        signs_ok and worst_rel < JACOBI_LIMIT,
+        f"signs ok on 100 cases, max identity residual {worst_rel:.3e} "
+        f"(< {JACOBI_LIMIT:g})",
     )
 
 
@@ -138,8 +140,8 @@ def test_criterion_5_variational_consistency(cases):
     scaling_ok = all(100 / 3 < r < 100 * 3 for r in ratios)
     report(
         "criterion 5 (variational identity, second-order step scaling)",
-        picked == 20 and worst_resid < 1e-8 and scaling_ok,
-        f"max residual {worst_resid:.3e} (< 1e-8) on 20 cases, step-ratio "
+        picked == 20 and worst_resid < SCHLAFLI_LIMIT and scaling_ok,
+        f"max residual {worst_resid:.3e} (< {SCHLAFLI_LIMIT:g}) on 20 cases, step-ratio "
         f"range [{min(ratios):.0f}, {max(ratios):.0f}] (~100 within 3x)",
     )
 

@@ -11,6 +11,7 @@ import pytest
 
 import hytet
 from hytet.cli import run
+from hytet.config import MC_SAMPLES_MAX
 
 ONES = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=1"
 
@@ -156,6 +157,41 @@ class TestInput:
         code, doc, _ = invoke_json(["validate", "--mc-samples", "2", "--edges", ONES])
         assert code != 64
         assert doc["volume"]["monte_carlo"]["error_estimate"] > 0
+
+    @pytest.mark.parametrize("source, samples", [
+        ("flag", MC_SAMPLES_MAX + 1),
+        ("flag", 10 ** 400),
+        ("config", MC_SAMPLES_MAX + 1),
+        ("config", 1e300),  # an integral float, a 301-digit count
+        ("environment", MC_SAMPLES_MAX + 1),
+        ("environment", 10 ** 400),
+    ], ids=["flag", "flag-1e400", "config", "config-1e300", "env", "env-1e400"])
+    def test_too_many_monte_carlo_samples_is_usage_error(
+            self, tmp_path, monkeypatch, source, samples):
+        drawn = []
+        monkeypatch.setattr(hytet.cli, "volume_monte_carlo",
+                            lambda *args: drawn.append(args))
+        doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")}}
+        argv = ["validate"]
+        if source == "flag":
+            argv += ["--mc-samples", str(samples)]
+        elif source == "config":
+            doc["config"] = {"mc_samples": samples}
+        else:
+            monkeypatch.setenv("HYTET_MC_SAMPLES", str(samples))
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        for command in (argv, ["volume", "--validate", *argv[1:]]):
+            code, out, err = invoke([*command, str(path)])
+            assert (code, out) == (64, "")
+            assert err == f"hytet: input error: mc-samples must be <= {MC_SAMPLES_MAX}\n"
+        assert drawn == []
+
+    def test_sample_cap_itself_is_accepted(self):
+        # check draws no sample, so the cap is accepted at no cost
+        assert invoke(["check", "--mc-samples", str(MC_SAMPLES_MAX), "--edges", ONES])[0] == 0
+        assert invoke(["check", "--mc-samples", str(MC_SAMPLES_MAX + 1),
+                       "--edges", ONES])[0] == 64
 
     @pytest.mark.parametrize("config, message", [
         ({"mc_samples": "abc"}, "config mc_samples does not parse"),

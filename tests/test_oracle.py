@@ -22,6 +22,7 @@ from hytet import (
     volume_edges,
     volume_monte_carlo,
 )
+from hytet.config import MC_SAMPLES_MAX
 
 MINK = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -161,6 +162,12 @@ class TestMonteCarlo:
         # one sample has no spread: its standard error of 0 would make any
         # agreement check pass vacuously
         for samples in (0, 1):
+            with pytest.raises(DomainError):
+                MonteCarloConfig(seed=1, samples=samples)
+
+    def test_samples_above_the_cap_rejected(self):
+        MonteCarloConfig(seed=1, samples=MC_SAMPLES_MAX)
+        for samples in (MC_SAMPLES_MAX + 1, 10 ** 400):
             with pytest.raises(DomainError):
                 MonteCarloConfig(seed=1, samples=samples)
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from hytet import (
@@ -142,6 +143,76 @@ class TestVolumeRegular:
     def test_monotone_in_edge_length(self):
         values = [volume_regular(a).value for a in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(u < v for u, v in zip(values, values[1:]))
+
+    # Schlafli's dV/da = -3a dtheta/da with cos theta = ch a / (2 ch a + 1):
+    # mp.mp.dps = 30; mp.quad(lambda t: 3 * t * mp.sinh(t) / ((2 * mp.cosh(t) + 1)
+    #     * mp.sqrt((3 * mp.cosh(t) + 1) * (mp.cosh(t) + 1))), [0, a])
+    # agrees with the paper's edge integral in mpmath to 1e-16 relative
+    PINNED = [
+        (0.01, 1.1784774205946507047e-7),
+        (0.05, 0.000014720809466523952858),
+        (0.1, 0.00011751312332781837993),
+        (0.5, 0.013732899242835099594),
+        (1.0, 0.090597925377724199268),
+        (3.0, 0.68720718873427787752),
+        (8.0, 1.0097141942506395791),
+        (12.0, 1.0148032602196255230),
+        (20.0, 1.0149415314391750794),
+        (30.0, 1.0149416064046291827),
+    ]
+
+    @pytest.mark.parametrize("a, ref", PINNED)
+    def test_within_its_bound_of_pinned_reference(self, a, ref):
+        res = volume_regular(a)
+        assert res.route == "regular"
+        assert abs(res.value - ref) <= res.error_estimate
+
+    def test_readme_integral_agrees(self):
+        # the paper's regular specialization, (1/2) int 0..a (A - B) / (C sqrt(D)),
+        # by 64-node Gauss-Legendre in double precision; it and the quadrature
+        # that used to compute it were both within 4e-15 of PINNED
+        x, w = np.polynomial.legendre.leggauss(64)
+        for a, _ in self.PINNED:
+            t = 0.5 * a * (x + 1.0)
+            c, ch = math.cosh(a), np.cosh(t)
+            A = 2 * t * c * c * np.sqrt((c - 1) * (ch - 1))
+            B = a * (1 - 4 * c + 2 * c * c + ch) * np.sqrt((c + 1) * (ch + 1))
+            C = 1 + ch - 2 * c * c
+            D = 4 * c * c - c - 1 - ch - c * ch
+            integral = 0.25 * a * float(w @ ((A - B) / (C * np.sqrt(D))))
+            res = volume_regular(a)
+            assert abs(integral - res.value) <= 4e-15 + res.error_estimate
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-6, 1e-3, 5e-3])
+    def test_short_edges_below_the_floor_are_refused(self, a):
+        with pytest.raises(DomainError, match="below the closed form's floor"):
+            volume_regular(a)
+
+    def test_floor_leaves_the_bound_within_a_millionth(self):
+        for a in (0.006, 0.01, 0.1):
+            res = volume_regular(a)
+            assert 0.0 < res.error_estimate <= 1e-6 * res.value
+
+    @pytest.mark.parametrize("a", [400.0, 800.0, 1e6])
+    def test_long_edges_reach_the_ideal_volume(self, a):
+        from hytet import lobachevsky
+
+        res = volume_regular(a)
+        assert abs(res.value - 3 * lobachevsky(math.pi / 3)) <= res.error_estimate
+        assert all(math.isfinite(v) for v in res.diagnostics.values())
+        assert res.diagnostics["l2"] == pytest.approx(a + math.log(4.0), rel=1e-15)
+
+    def test_takes_only_the_edge_and_no_quadrature(self, monkeypatch):
+        import inspect
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("volume_regular called the quadrature")
+
+        assert list(inspect.signature(volume_regular).parameters) == ["a"]
+        monkeypatch.setattr(volume_module.quadrature, "integrate", refuse)
+        res = volume_regular(1.0)
+        assert res.evaluations == 0
+        assert res.diagnostics["root_circle_distance"] < 1e-14
 
 
 class TestVolumeSforza:
