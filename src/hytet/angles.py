@@ -96,13 +96,13 @@ def dihedral_angles(C: CofactorSet) -> DihedralAngles:
     values = {}
     for (k, l), key in zip(EDGE_PAIRS, ANGLE_KEYS):
         i, j = opposite_pair(k, l)
-        cos_th = -C.entry(i, j) / math.sqrt(diag[i] * diag[j])
+        norm = math.sqrt(diag[i] * diag[j])
+        cos_th = -C.entry(i, j) / norm
+        # not <= also catches NaN; an infinite norm means the cofactors overflowed
+        if not abs(cos_th) <= 1.0 + DEFAULT_TOL.cos_clamp or norm == math.inf:
+            raise NumericalError(f"cosine of the angle along edge {k + 1}-{l + 1} is {cos_th!r} "
+                                 f"(cofactor norm {norm!r}), inconsistent beyond tolerance")
         if abs(cos_th) > 1.0:
-            if abs(cos_th) > 1.0 + DEFAULT_TOL.cos_clamp:
-                raise NumericalError(
-                    f"cosine of the angle along edge {k + 1}-{l + 1} is "
-                    f"{cos_th!r}, inconsistent beyond tolerance"
-                )
             cos_th = math.copysign(1.0, cos_th)
             clamped = True
         values[key] = math.acos(cos_th)

@@ -489,7 +489,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     except NotATetrahedronError as e:
         print(f"hytet: not a tetrahedron: {e}", file=err)
         return EXIT_NOT_A_TETRAHEDRON
-    except NumericalError as e:
+    except (NumericalError, OverflowError) as e:
         print(f"hytet: numerical failure: {e}", file=err)
         return EXIT_NUMERICAL
     except HytetError as e:

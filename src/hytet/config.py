@@ -18,7 +18,8 @@ class Tolerances:
     boundary
         A signed slack within ``boundary * (1 + scale)`` of zero is treated
         as sitting on a degenerate boundary rather than failing a strict
-        inequality.
+        inequality; the fold bounds round such a slack's half-perimeter
+        excess up to zero.
     sqrt_clamp
         Square-root arguments that are provably nonnegative may come out
         slightly negative in floating point; values down to ``-sqrt_clamp``
@@ -29,16 +30,12 @@ class Tolerances:
     pivot
         Pivot threshold below which the hyperboloid factorization reports a
         rank drop instead of extrapolating.
-    bounds_match
-        Required agreement between the two independent expressions for the
-        lower integration limit of the volume integral.
     """
 
     boundary: float = 1e-12
     sqrt_clamp: float = 1e-10
     cos_clamp: float = 1e-12
     pivot: float = 1e-10
-    bounds_match: float = 1e-12
 
 
 DEFAULT_TOL = Tolerances()

@@ -10,21 +10,24 @@ sweeps a closed interval [l1, l2].  Six lengths are realizable iff
     (ii)  l14 + l24 >= l12 >= |l14 - l24|
     (iii) l1 <= l34 <= l2,
 
-where, with ch = cosh and csch = 1/sinh,
+where, with alpha3 and alpha4 the angles at vertex 1 of the faces 1-2-3
+and 1-2-4, the flat folds' law of cosines is a sum of nonnegative terms
 
-    ch l1 = C - S,  ch l2 = C + S,
-    C = ch l13 ch l14
-        - csch^2(l12) (ch l13 ch l12 - ch l23)(ch l14 ch l12 - ch l24)
-    S = csch^2(l12)
-        * sqrt((ch(l13 + l12) - ch l23)(ch l23 - ch(l13 - l12)))
-        * sqrt((ch(l14 + l12) - ch l24)(ch l24 - ch(l14 - l12))).
+    cosh l1,2 - 1 = 2 sinh^2((l13 - l14)/2)
+                    + 2 sinh l13 sinh l14 sin^2((alpha3 -/+ alpha4)/2),
 
-Each square-root argument is a product of two factors that are nonnegative
-exactly when the corresponding triangle inequality holds, so S is well
-defined termwise under (i) and (ii).  Equality anywhere marks a flat
-(zero-volume) configuration; such inputs are reported as degenerate rather
-than rejected, because the volume integral needs to be evaluated right up
-to these boundaries.
+inverted by l = 2 asinh(sqrt((cosh l - 1)/2)).  Face 1-2-k with
+half-perimeter p has, by the half-angle formula,
+
+    alpha = 2 atan2(sqrt(sinh(p - l12) sinh(p - l1k)), sqrt(sinh p sinh(p - l2k))),
+
+and its excesses p - x are half the slacks of (i) or (ii), so the triangle
+test and the angles come from the same numbers and nothing cancels at short
+or long edges.  C and S, the midpoint and half-width of [cosh l1, cosh l2],
+are reported too; S = sinh l13 sinh l14 sin alpha3 sin alpha4.  Equality
+anywhere marks a flat (zero-volume) configuration; such inputs are reported
+as degenerate rather than rejected, because the volume integral needs to be
+evaluated right up to these boundaries.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from .config import DEFAULT_TOL
 from .core import EdgeLengths
-from .errors import DomainError, NotATetrahedronError, NumericalError
+from .errors import DomainError, NotATetrahedronError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,12 +57,12 @@ __all__ = [
 class L34Bounds:
     """Admissible interval for the sixth edge given the other five.
 
-    ``C`` and ``S`` are the fold-interval midpoint and half-width on the
-    cosh scale; ``l1 = arccosh(C - S)`` and ``l2 = arccosh(C + S)`` bound
-    the edge between vertices 3 and 4.  ``S == 0`` iff one of the two face
-    triangles is flat, which pins l34 to a single value.  ``clamped_sqrt``
-    records that a square-root argument was rounded up to zero from a tiny
-    negative value (possible only on the triangle-inequality boundary).
+    ``l1`` and ``l2`` bound the edge between vertices 3 and 4; ``C`` and
+    ``S`` are the interval's midpoint and half-width on the cosh scale.
+    ``S == 0`` iff one of the two face triangles is flat, which pins l34 to
+    a single value.  ``clamped_sqrt`` records that a half-perimeter excess
+    was rounded up to zero from a tiny negative value (possible only on the
+    triangle-inequality boundary).
     """
 
     C: float
@@ -94,6 +97,11 @@ class ExistenceReport:
     lengths: EdgeLengths
 
 
+# the triangle_checks slack that each half-perimeter excess of l34_bounds halves
+_EXCESS_SLACKS = ("tri_123_sum", "tri_123_diff", "tri_123_diff",
+                  "tri_124_sum", "tri_124_diff", "tri_124_diff")
+
+
 def _near_zero(slack: float, scale: float) -> bool:
     return abs(slack) <= DEFAULT_TOL.boundary * (1.0 + abs(scale))
 
@@ -123,62 +131,46 @@ def l34_bounds(
 ) -> L34Bounds:
     """Bounds of the admissible l34 interval from the other five lengths.
 
-    Requires l12 > 0 (the fold construction hinges on edge 1-2) and both
-    triangle inequalities; raises DomainError or NotATetrahedronError
-    otherwise.  Square-root arguments are clamped to zero when they fall in
-    [-sqrt_clamp, 0), which can only happen by rounding on the boundary;
-    more negative values raise NumericalError.
+    Requires l12 > 0 (the fold hinges on edge 1-2) and both triangle
+    inequalities; raises DomainError or NotATetrahedronError otherwise, and
+    OverflowError past edges of a few hundred, where the half-angle products
+    overflow.  Half-perimeter excesses within the boundary tolerance below
+    zero are rounded up to it and flagged in ``clamped_sqrt``.
     """
     if l12 <= 0:
         raise DomainError("l34 bounds need a positive hinge length l12")
-    probe = EdgeLengths(l12=l12, l13=l13, l14=l14, l23=l23, l24=l24, l34=0.0)
-    ok123, ok124, slacks = triangle_checks(probe)
-    if not (ok123 and ok124):
-        bad = [k for k, v in slacks.items() if v < 0]
-        raise NotATetrahedronError(f"face triangle inequality violated: {', '.join(bad)}")
+    # p - x for the sides x = l12, l1k, l2k of faces 1-2-3 and 1-2-4
+    excess = (0.5 * (l13 + l23 - l12), 0.5 * (l12 + l23 - l13), 0.5 * (l12 + l13 - l23),
+              0.5 * (l14 + l24 - l12), 0.5 * (l12 + l24 - l14), 0.5 * (l12 + l14 - l24))
+    clamped = min(excess) < 0.0
+    if clamped:
+        scale = max(l12, l13, l14, l23, l24)
+        bad = [name for name, e in zip(_EXCESS_SLACKS, excess)
+               if e < 0.0 and not _near_zero(2.0 * e, scale)]
+        if bad:
+            raise NotATetrahedronError(
+                f"face triangle inequality violated: {', '.join(dict.fromkeys(bad))}")
+        excess = tuple(max(e, 0.0) for e in excess)
 
-    ch = math.cosh
-    csch2 = 1.0 / math.sinh(l12) ** 2
-    C = ch(l13) * ch(l14) - csch2 * (ch(l13) * ch(l12) - ch(l23)) * (
-        ch(l14) * ch(l12) - ch(l24)
-    )
+    sh = math.sinh
 
-    clamped = False
+    def angle_at_1(e12: float, e1k: float, e2k: float) -> float:
+        near, far = sh(e12) * sh(e1k), sh(e12 + e1k + e2k) * sh(e2k)
+        if far == math.inf:  # it would read as alpha = 0
+            raise OverflowError(f"the half-angle formula overflows at p = {e12 + e1k + e2k!r}")
+        return 2.0 * math.atan2(math.sqrt(near), math.sqrt(far))
 
-    def sqrt_arg(value: float, scale: float) -> float:
-        nonlocal clamped
-        if value < 0:
-            if value < -DEFAULT_TOL.sqrt_clamp * (1.0 + scale):
-                raise NumericalError(
-                    f"square-root argument {value!r} is negative beyond tolerance"
-                )
-            clamped = True
-            return 0.0
-        return value
-
-    s1 = sqrt_arg(
-        (ch(l13 + l12) - ch(l23)) * (ch(l23) - ch(l13 - l12)),
-        ch(l13 + l12) ** 2,
-    )
-    s2 = sqrt_arg(
-        (ch(l14 + l12) - ch(l24)) * (ch(l24) - ch(l14 - l12)),
-        ch(l14 + l12) ** 2,
-    )
-    S = csch2 * math.sqrt(s1) * math.sqrt(s2)
-
-    ch_l1 = C - S
-    ch_l2 = C + S
-    if ch_l1 < 1.0:
-        if ch_l1 < 1.0 - DEFAULT_TOL.sqrt_clamp * (1.0 + abs(C)):
-            raise NumericalError(
-                f"lower bound cosh value {ch_l1!r} fell below 1 beyond tolerance"
-            )
-        ch_l1 = 1.0
+    alpha3, alpha4 = angle_at_1(*excess[:3]), angle_at_1(*excess[3:])
+    sh13, sh14 = sh(l13), sh(l14)
+    base = 2.0 * sh(0.5 * (l13 - l14)) ** 2
+    s_lo, s_hi = math.sin(0.5 * (alpha3 - alpha4)), math.sin(0.5 * (alpha3 + alpha4))
+    lo = base + 2.0 * (sh13 * s_lo) * (sh14 * s_lo)
+    hi = base + 2.0 * (sh13 * s_hi) * (sh14 * s_hi)
     return L34Bounds(
-        C=C,
-        S=S,
-        l1=math.acosh(ch_l1),
-        l2=math.acosh(max(ch_l2, 1.0)),
+        C=1.0 + 0.5 * (lo + hi),
+        S=(sh13 * math.sin(alpha3)) * (sh14 * math.sin(alpha4)),
+        l1=2.0 * math.asinh(math.sqrt(0.5 * lo)),
+        l2=2.0 * math.asinh(math.sqrt(0.5 * hi)),
         clamped_sqrt=clamped,
     )
 

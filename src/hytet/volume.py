@@ -27,21 +27,26 @@ Delta: both parenthesized combinations are determinant multiples,
 and dividing them out symbolically removes a catastrophic cancellation
 near the flat endpoints where Delta -> 0.
 
-Delta itself is evaluated in factored form.  As a function of x it is the
-upward parabola Delta(x) = s (x - x_lo)(x - x_hi) with s = sinh^2(l12),
-whose roots are the flat configurations:
+-Delta = sinh^2(l12) (cosh t - cosh l1)(cosh l2 - cosh t), with l1 and l2
+the fold bounds of :mod:`hytet.existence`, and each cosh difference is a
+product of sinh of a half-sum and a half-difference, so the integrable
+1/sqrt singularity sits exactly at the integration endpoint.
 
-    cosh(l1) = x_lo = (-sqrt(c33 c44) - q0) / s,
-    cosh(l2) = x_hi = (+sqrt(c33 c44) - q0) / s,
+The numerator is a Schlafli sum, and it cancels: at short edges t Omega
+and sinh(t) B agree to relative size (edge length)^2.  With the shifted
+lengths u = cosh l - 1 = 2 sinh^2(l/2), xm1 = cosh t - 1, r = l sinh l - 2u
+and p = u12 xm1 - u14 u23 - u13 u24, it is evaluated as
 
-where c33, c44 are the (t-independent) diagonal cofactors at vertices 3, 4
-and q0 is the constant term of the linear function c34(x) = s x + q0.  The
-factored form keeps the integrable 1/sqrt singularity of the integrand
-located exactly at the integration endpoint, which is what the
-double-exponential quadrature needs; near the endpoints the factors
-cosh(t) - x_lo and x_hi - cosh(t) are further rewritten as products of
-sinh of half-sums and half-differences to avoid subtractive cancellation.
+    t Omega + sinh(t) B = sinh(t) (A + R) + Omega (t - 2 tanh(t/2)),
+    R = (r24 c14 + r23 c13) / c11 + (r13 c23 + r14 c24) / c22 + r12,
+    A = 2 [(u13 u14 e11 + u23 u24 e22)(xm1 p - e12) + p e11 e22
+           - 4 xm1 u13 u14 u23 u24 e12] / ((xm1 + 2) c11 c22),
 
+where c11 = e11 + 2 u23 u24 xm1, c22 = e22 + 2 u13 u14 xm1 and
+c12 = e12 + xm1 p split each cofactor into its parts of degree two and
+three in the u's.  A is the sum with l sinh l replaced by 2u, the scaling
+derivative of the 3-4 angle: its degree-two parts cancel exactly, and so
+do the degree-three products that would cancel at long edges.
 Angle integral (cross-check route).  With five dihedral angles fixed and
 the angle along edge 3-4 as the variable t, the volume satisfies
 dV/d(theta_34) = -l34 / 2, and the closed antiderivative is
@@ -68,8 +73,11 @@ Yano, Comm. Anal. Geom. 13, 2005) is V = (1/4) [S(phi1) - S(phi2)],
 at the arguments phi1 < phi2 of the roots of (1 - z)(1 - w z)^3 = (1 - v z)^4,
 w = exp(4 i theta), v = -exp(3 i theta): a quadratic once its z^0 and z^4
 terms cancel and z is divided out.  S is stationary at the roots, so their
-rounding moves V only to second order.  The README's regular form of the
-paper's edge integral is checked against this value by the tests.
+rounding moves V only to second order.  At long edges 3 theta + pi + phi1
+nears 2 pi, where Cl2 has its log singularity, so the last term is taken
+as Cl2(3 delta + phi), with delta = theta - pi/3 computed from sech a.
+The README's regular form of the paper's edge integral is checked against
+this value by the tests.
 """
 
 from __future__ import annotations
@@ -88,8 +96,7 @@ from .errors import (
     NotATetrahedronError,
     NumericalError,
 )
-# l34_bounds is unused here, but hytetbench's tracer patches it
-from .existence import ExistenceReport, exists, l34_bounds  # noqa: F401
+from .existence import ExistenceReport, L34Bounds, exists, l34_bounds
 from . import quadrature
 
 __all__ = [
@@ -175,124 +182,104 @@ def clausen(t: float) -> float:
     return t - t * math.log(abs(t)) + t * s * acc
 
 
+# 2k / (2k + 1)! for k = 7, ..., 1 (Horner order)
+_YCOSH_SINH = tuple(2 * k / math.factorial(2 * k + 1) for k in range(7, 0, -1))
+
+
+def _ycosh_sinh(y: float, sh: float, ch: float) -> float:
+    """y cosh y - sinh y from sinh y and cosh y; its series below 0.5, where they cancel."""
+    if y >= 0.5:
+        return y * ch - sh
+    z = y * y
+    c7, c6, c5, c4, c3, c2, c1 = _YCOSH_SINH
+    return y * z * ((((((c7 * z + c6) * z + c5) * z + c4) * z + c3) * z + c2) * z + c1)
+
+
 class _EdgeIntegrand:
-    """Precomputed data for the edge-length volume integrand.
+    """The edge-length volume integrand, with everything that does not
+    depend on t fixed at construction: the fold bounds of ``bounds`` and
+    coefficients from the five fixed lengths."""
 
-    Everything that does not depend on the integration variable is fixed at
-    construction: hyperbolic functions of the five fixed lengths, the
-    t-independent cofactors c33 and c44, the linear coefficients of c34(x),
-    and the factored roots x_lo, x_hi of Delta(x).
-    """
-
-    def __init__(self, lengths: EdgeLengths):
-        ch = math.cosh
-        self.l12, self.l13, self.l14 = lengths.l12, lengths.l13, lengths.l14
-        self.l23, self.l24 = lengths.l23, lengths.l24
-        a12 = self.a12 = ch(self.l12)
-        a13 = self.a13 = ch(self.l13)
-        a14 = self.a14 = ch(self.l14)
-        a23 = self.a23 = ch(self.l23)
-        a24 = self.a24 = ch(self.l24)
-        self.sh12 = math.sinh(self.l12)
-        self.sh13 = math.sinh(self.l13)
-        self.sh14 = math.sinh(self.l14)
-        self.sh23 = math.sinh(self.l23)
-        self.sh24 = math.sinh(self.l24)
-
-        # diagonal cofactors at vertices 3 and 4; positive iff the face
-        # triangles 1-2-4 and 1-2-3 are solid
-        self.c33 = 1.0 + 2.0 * a12 * a14 * a24 - a12 * a12 - a14 * a14 - a24 * a24
-        self.c44 = 1.0 + 2.0 * a12 * a13 * a23 - a12 * a12 - a13 * a13 - a23 * a23
-        if self.c33 < 0.0 or self.c44 < 0.0:
-            raise NotATetrahedronError(
-                "a face triangle through the hinge edge is not realizable"
-            )
-        # c34 as a function of x = cosh(t): slope and constant term
-        self.slope = a12 * a12 - 1.0
-        if self.slope <= 0.0:
-            raise DomainError("volume integrand needs a positive hinge length l12")
-        self.q0 = a13 * a14 + a23 * a24 - a12 * (a14 * a23 + a13 * a24)
-        root = math.sqrt(self.c33 * self.c44)
-        self.x_lo = (-root - self.q0) / self.slope
-        self.x_hi = (root - self.q0) / self.slope
-        self.l1 = math.acosh(max(self.x_lo, 1.0))
-        self.l2 = math.acosh(max(self.x_hi, 1.0))
-        # Every t-dependent cofactor is a polynomial in x = cosh(t) of
-        # degree at most two.  They are stored recentered at x = 1, i.e.
-        # as polynomials in xm1 = x - 1, with exactly computed
-        # coefficients.  xm1 itself is evaluated as 2 sinh^2(t/2), so the
-        # whole integrand stays accurate near x = 1, where isosceles
-        # configurations make several cofactors vanish simultaneously and
-        # the direct polynomials would lose every significant digit.
-        cross = a13 * a24 - a14 * a23
-        d23 = a23 - a24
-        d13 = a13 - a14
-        self.c11_at1 = -d23 * d23
-        self.c11_d1 = 2.0 * (a23 * a24 - 1.0)
-        self.c22_at1 = -d13 * d13
-        self.c22_d1 = 2.0 * (a13 * a14 - 1.0)
-        self.c13_at1 = a12 * d23 - d13 + a24 * cross
-        self.c13_d = a14 - a12 * a24
-        self.c14_at1 = -(a12 * d23 - d13 + a23 * cross)
-        self.c14_d = a13 - a12 * a23
-        self.c23_at1 = -(d23 - a12 * d13 + a14 * cross)
-        self.c23_d = a24 - a12 * a14
-        self.c24_at1 = d23 - a12 * d13 + a13 * cross
-        self.c24_d = a23 - a12 * a13
-        self.om1_at1 = d23
-        self.om2_at1 = d13
-        # distances from the current integration limits to the flat roots;
-        # set by integral
-        self.pad_lo = 0.0
-        self.pad_hi = 0.0
+    def __init__(self, lengths: EdgeLengths, bounds: L34Bounds):
+        self.l1, self.l2 = bounds.l1, bounds.l2
+        fixed = lengths.as_tuple()[:5]
+        halves = [math.sinh(0.5 * x) for x in fixed]
+        u12, u13, u14, u23, u24 = (2.0 * h * h for h in halves)
+        # -Delta = slope (cosh t - cosh l1)(cosh l2 - cosh t), slope = sinh^2 l12
+        self.slope = u12 * (u12 + 2.0)
+        # The t-dependent cofactors are polynomials in xm1 = cosh t - 1
+        # = 2 sinh^2(t/2) of degree at most two, with coefficients in the
+        # shifted lengths u: polynomials in cosh would lose every digit
+        # near xm1 = 0 and at short edges.  Of c11, c22 and c12 only the
+        # parts e11, e22, e12 and p of the module docstring are stored.
+        d23, d13 = u23 - u24, u13 - u14
+        w = u13 * u24 - u14 * u23
+        cross = d13 - d23 + w  # cosh l13 cosh l24 - cosh l14 cosh l23
+        self.coefficients = (
+            -d23 * d23, 2.0 * (u23 + u24), -d13 * d13, 2.0 * (u13 + u14),  # e11, e22
+            d13 * d23, 2.0 * u12 - u13 - u14 - u23 - u24,  # e12
+            -(u14 * u23 + u13 * u24), u12, u13 * u14, u23 * u24,  # p; two products
+            u12 * d23 + w + u24 * cross, u14 - u12 - u24 - u12 * u24,  # c13
+            -(u12 * d23 + w + u23 * cross), u13 - u12 - u23 - u12 * u23,  # c14
+            -(w - u12 * d13 + u14 * cross), u24 - u12 - u14 - u12 * u14,  # c23
+            w - u12 * d13 + u13 * cross, u23 - u12 - u13 - u12 * u13,  # c24
+            d23, d13, 1.0 + u24, 1.0 + u14,  # Omega
+            # r = l sinh l - 2u of l12, l13, l14, l23, l24
+            *(4.0 * h * _ycosh_sinh(0.5 * x, h, math.sqrt(1.0 + h * h))
+              for h, x in zip(halves, fixed)))
+        # distances from the current integration limits to the flat roots
+        self.pad_lo = self.pad_hi = 0.0
         self.guarded_nodes = 0
 
     def integral(self, lower: float, upper: float, cfg: QuadratureConfig):
         """Quadrature of dV/dt over [lower, upper] within [l1, l2]."""
         self.pad_lo = lower - self.l1
         self.pad_hi = self.l2 - upper
-        return quadrature.integrate(
+        outcome = quadrature.integrate(
             self.quadrature_node, lower, upper,
             abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, max_levels=cfg.max_levels,
         )
+        if not math.isfinite(outcome.value):  # the coefficients overflow past l ~ 100
+            raise NumericalError(f"the volume integral came out as {outcome.value!r}")
+        return outcome
 
-    def neg_delta_at(self, x: float) -> float:
-        return -self.slope * (x - self.x_lo) * (x - self.x_hi)
+    def neg_delta(self, t: float, gap_lo: float, gap_hi: float) -> float:
+        """-Delta at parameter t from its exact distances t - l1 and l2 - t,
+        which stay accurate where cosh t - cosh l1 would cancel."""
+        f_lo = 2.0 * math.sinh(0.5 * (t + self.l1)) * math.sinh(0.5 * gap_lo)
+        f_hi = 2.0 * math.sinh(0.5 * (self.l2 + t)) * math.sinh(0.5 * gap_hi)
+        return self.slope * f_lo * f_hi
 
     def evaluate(self, t: float, neg_delta: float) -> float:
         """dV/dt at parameter t given a precomputed -Delta > 0."""
-        xm1 = 2.0 * math.sinh(0.5 * t) ** 2
-        a = self
-        c11 = a.c11_at1 + xm1 * (a.c11_d1 - xm1)
-        c22 = a.c22_at1 + xm1 * (a.c22_d1 - xm1)
+        (e11_0, e11_1, e22_0, e22_1, e12_0, e12_1, p_0, p_1, uu13, uu23,
+         c13_0, c13_1, c14_0, c14_1, c23_0, c23_1, c24_0, c24_1,
+         d23, d13, a24, a14, r12, r13, r14, r23, r24) = self.coefficients
+        half_sh = math.sinh(0.5 * t)
+        x = 2.0 * half_sh * half_sh  # cosh t - 1
+        e11 = e11_0 + x * (e11_1 - x)
+        e22 = e22_0 + x * (e22_1 - x)
+        c11 = e11 + 2.0 * uu23 * x
+        c22 = e22 + 2.0 * uu13 * x
         if c11 <= 0.0 or c22 <= 0.0:
             self.guarded_nodes += 1
             return 0.0
-        c13 = a.c13_at1 + a.c13_d * xm1
-        c14 = a.c14_at1 + a.c14_d * xm1
-        c23 = a.c23_at1 + a.c23_d * xm1
-        c24 = a.c24_at1 + a.c24_d * xm1
-        omega = (c14 * (a.om1_at1 - a.a24 * xm1) / c11
-                 + c24 * (a.om2_at1 - a.a14 * xm1) / c22)
-        bsum = ((a.l24 * a.sh24 * c14 + a.l23 * a.sh23 * c13) / c11
-                + (a.l13 * a.sh13 * c23 + a.l14 * a.sh14 * c24) / c22
-                + a.l12 * a.sh12)
-        return -0.5 * (t * omega + math.sinh(t) * bsum) / math.sqrt(neg_delta)
+        e12 = e12_0 + x * (e12_1 + x)
+        p = p_0 + p_1 * x
+        c13, c14 = c13_0 + c13_1 * x, c14_0 + c14_1 * x
+        c23, c24 = c23_0 + c23_1 * x, c24_0 + c24_1 * x
+        i11, i22 = 1.0 / c11, 1.0 / c22
+        omega = c14 * (d23 - a24 * x) * i11 + c24 * (d13 - a14 * x) * i22
+        euler = 2.0 * ((uu13 * e11 + uu23 * e22) * (x * p - e12) + p * e11 * e22
+                       - 4.0 * x * uu13 * uu23 * e12) * i11 * i22 / (x + 2.0)
+        rest = (r24 * c14 + r23 * c13) * i11 + (r13 * c23 + r14 * c24) * i22 + r12
+        half_ch = math.sqrt(1.0 + half_sh * half_sh)
+        psi = 2.0 * _ycosh_sinh(0.5 * t, half_sh, half_ch) / half_ch  # t - 2 tanh(t/2)
+        return (-half_sh * half_ch * (euler + rest) - 0.5 * omega * psi) / math.sqrt(neg_delta)
 
     def quadrature_node(self, t: float, dist_lo: float, dist_hi: float) -> float:
-        """Integrand for the quadrature; distances refer to the bound interval.
-
-        -Delta = slope * (cosh t - x_lo) * (x_hi - cosh t); each cosh
-        difference is computed as 2 sinh(mean) sinh(half-gap) from the
-        node's exact distance to the flat root, which stays fully accurate
-        arbitrarily close to the roots where direct subtraction would lose
-        every significant digit.
-        """
-        gap_lo = self.pad_lo + dist_lo
-        gap_hi = self.pad_hi + dist_hi
-        f_lo = 2.0 * math.sinh(0.5 * (t + self.l1)) * math.sinh(0.5 * gap_lo)
-        f_hi = 2.0 * math.sinh(0.5 * (self.l2 + t)) * math.sinh(0.5 * gap_hi)
-        neg_delta = self.slope * f_lo * f_hi
+        """Integrand for the quadrature; distances refer to the bound interval."""
+        neg_delta = self.neg_delta(t, self.pad_lo + dist_lo, self.pad_hi + dist_hi)
         if neg_delta <= 0.0:
             self.guarded_nodes += 1
             return 0.0
@@ -300,8 +287,7 @@ class _EdgeIntegrand:
 
     def derivative(self, t: float) -> float:
         """dV/dt at an interior parameter value, with domain checks."""
-        x = math.cosh(t)
-        neg_delta = self.neg_delta_at(x)
+        neg_delta = self.neg_delta(t, t - self.l1, self.l2 - t)
         if neg_delta <= 0.0:
             raise DomainError(
                 f"t = {t!r} lies outside the open admissible interval "
@@ -314,6 +300,8 @@ class _EdgeIntegrand:
             raise NotATetrahedronError(
                 "a vertex cofactor is not positive at this parameter value"
             )
+        if not math.isfinite(value):
+            raise NumericalError(f"dV/dt at t = {t!r} came out as {value!r}")
         return value
 
 
@@ -322,8 +310,7 @@ def _edge_integrand(lengths: EdgeLengths | ExistenceReport):
 
     Takes the lengths or their ``exists`` report, which then stands in for
     a second test.  Raises ExistenceError (with the report attached) when
-    they do not bound one, and NumericalError when the integrand's factored
-    roots disagree with the closed-form fold bounds.
+    they do not bound one.
     """
     report = lengths if isinstance(lengths, ExistenceReport) else exists(lengths)
     if not report.exists:
@@ -332,17 +319,7 @@ def _edge_integrand(lengths: EdgeLengths | ExistenceReport):
             + ", ".join(report.failed),
             report=report,
         )
-    integ = _EdgeIntegrand(report.lengths)
-    bounds = report.bounds
-    limit = DEFAULT_TOL.bounds_match * (1.0 + abs(bounds.C) + bounds.S)
-    if (abs(integ.x_lo - (bounds.C - bounds.S)) > limit
-            or abs(integ.x_hi - (bounds.C + bounds.S)) > limit):
-        raise NumericalError(
-            "the two expressions for the flat-fold bounds disagree: "
-            f"factored ({integ.x_lo!r}, {integ.x_hi!r}) vs closed form "
-            f"({bounds.C - bounds.S!r}, {bounds.C + bounds.S!r})"
-        )
-    return report, integ
+    return report, _EdgeIntegrand(report.lengths, report.bounds)
 
 
 def volume_derivative(lengths: EdgeLengths, t: float) -> float:
@@ -353,7 +330,7 @@ def volume_derivative(lengths: EdgeLengths, t: float) -> float:
     """
     if not math.isfinite(t) or t < 0:
         raise DomainError(f"parameter t must be finite and nonnegative, got {t!r}")
-    return _EdgeIntegrand(lengths).derivative(t)
+    return _EdgeIntegrand(lengths, l34_bounds(*lengths.as_tuple()[:5])).derivative(t)
 
 
 def _result_from_quadrature(
@@ -400,7 +377,8 @@ def volume_edges(
     diagnostics = {
         "l1": integ.l1,
         "l2": integ.l2,
-        "delta_at_l34": -integ.neg_delta_at(math.cosh(lengths.l34)),
+        "delta_at_l34": -integ.neg_delta(lengths.l34, lengths.l34 - integ.l1,
+                                         integ.l2 - lengths.l34),
         "degenerate": report.degenerate,
     }
     if lengths.l34 <= integ.l1 + DEFAULT_TOL.boundary * (1.0 + integ.l1):
@@ -419,10 +397,10 @@ def volume_profile(
 ) -> list[tuple[float, float, float]]:
     """Rows (t, dV/dt, V) on ``samples`` equally spaced values of l34.
 
-    The grid runs between the integrand's own flat roots l1 and l2, where V
-    vanishes and dV/dt is reported as +inf and -inf; V sums one quadrature
-    per segment.  ``lengths`` may be their ``exists`` report; l34 takes
-    part only in the existence check.
+    The grid runs between the fold bounds l1 and l2, where V vanishes and
+    dV/dt is reported as +inf and -inf; V sums one quadrature per segment.
+    ``lengths`` may be their ``exists`` report; l34 takes part only in the
+    existence check.
     """
     _, integ = _edge_integrand(lengths)
     if samples < 2:
@@ -452,7 +430,7 @@ def volume_regular(a: float) -> VolumeResult:
 
     The closed form of the module docstring, kept signed.  Its
     ``error_estimate`` is an absolute rounding bound (against mpmath on
-    3,700 edges in [1e-4, 1000] the error reached 0.69 of it); edges below
+    2,500 edges in [5.6e-3, 1000] the error reached 0.18 of it); edges below
     about 5.5e-3, where it exceeds 1e-6 of the value, raise DomainError.
     ``diagnostics`` adds the roots' distance from the unit circle.
     """
@@ -461,7 +439,10 @@ def volume_regular(a: float) -> VolumeResult:
     if a == 0.0:
         return VolumeResult(0.0, 0.0, 0, "regular", {"l1": 0.0, "l2": 0.0})
     q = math.exp(-a)  # sech a = 2q / (1 + q^2) is finite where cosh a overflows
-    theta = math.acos(1.0 / (2.0 + 2.0 * q / (1.0 + q * q)))
+    sech = 2.0 * q / (1.0 + q * q)
+    theta = math.acos(1.0 / (2.0 + sech))
+    # theta - pi/3 from cos(pi/3) - cos(theta) = sech / (2 (2 + sech)), without cancellation
+    delta = 2.0 * math.asin(sech / (4.0 * (2.0 + sech) * math.sin(0.5 * theta + math.pi / 6)))
     w, v = cmath.exp(4j * theta), -cmath.exp(3j * theta)
     c2, c1 = 4.0 * v**3 - w**3 - 3.0 * w * w, 3.0 * w * w + 3.0 * w - 6.0 * v * v
     root = cmath.sqrt(c1 * c1 - 4.0 * c2 * (4.0 * v - 3.0 * w - 1.0))
@@ -469,7 +450,7 @@ def volume_regular(a: float) -> VolumeResult:
     # both arguments lie in [0, pi/3] up to rounding, far from the cut of phase
     phases = sorted(map(cmath.phase, z))
     s = [clausen(p) + 3.0 * clausen(4.0 * theta + p)
-         - 4.0 * clausen(3.0 * theta + math.pi + p) for p in phases]
+         - 4.0 * clausen(3.0 * delta + p) for p in phases]
     value = 0.25 * (s[0] - s[1])
     bound = _REGULAR_ROUNDING + 3.0 * min(a, _LONG_EDGE) * _THETA_ROUNDING
     if value < -bound:

@@ -92,6 +92,38 @@ class TestVolume:
         assert "l34_upper" in err or "l34_upper" in out
 
 
+class TestAcrossTheLengthScale:
+    # regular volumes: TestVolumeRegular.PINNED's Schlafli integral in mpmath
+    REFERENCE = [
+        (1e-6, 1.1785113019772402253e-19),
+        (1e-3, 1.1785109631556616646e-10),
+        (0.01, 1.1784774205946507047e-7),
+        (15.0, 1.0149331289988043513),
+        (30.0, 1.0149416064046291827),
+    ]
+
+    @pytest.mark.parametrize("a, ref", REFERENCE)
+    def test_check_and_volume_answer(self, a, ref):
+        edges = ",".join(f"{k}={a!r}" for k in hytet.EDGE_KEYS)
+        code, doc, _ = invoke_json(["check", "--edges", edges])
+        assert code == 0 and doc["existence"]["exists"] is True
+        code, doc, _ = invoke_json(["volume", "--edges", edges])
+        assert code == 0
+        assert doc["volume"]["edge_integral"]["value"] == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("a", [150.0, 400.0])
+    def test_overflow_is_a_numerical_failure(self, a):
+        # the integrand's coefficients overflow past edges of about 100, the
+        # cofactors past 120, the fold bounds past 350: exit 70, never a
+        # traceback or a NaN printed as an answer
+        edges = ",".join(f"{k}={a!r}" for k in hytet.EDGE_KEYS)
+        code, _, _ = invoke(["check", "--edges", edges])
+        assert code == (0 if a < 350 else 70)
+        for command in (["angles"], ["volume"], ["sweep"], ["validate", "--mc-samples", "2000"]):
+            code, out, err = invoke([*command, "--edges", edges])
+            assert code == 70 and "numerical failure" in err, command
+
+
 class TestInput:
     def test_json_document(self, tmp_path):
         doc = {"edges": {k: "1.0" for k in
@@ -333,15 +365,20 @@ class TestSweep:
             assert float(v) == pytest.approx(direct, abs=1e-8)
 
     def test_refuses_what_volume_refuses(self):
-        # At a = 0.01 the integrand's factored roots miss the closed-form
-        # fold bounds, and volume exits 70 (ROADMAP item 2). sweep runs the
-        # same check, so it exits with the same code and prints no rows.
+        # sweep runs the existence test of volume, so a non-tetrahedron
+        # gets the same exit code, message and error document from both
+        far = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=2"
+        code, out, err = invoke(["sweep", "--samples", "3", "--edges", far])
+        v_code, v_out, v_err = invoke(["volume", "--edges", far])
+        assert code == v_code == 2
+        assert out == v_out and err == v_err
+        assert "l34_upper" in err
+        # and both answer at a = 0.01, where they used to exit 70 together
         short = "l12=0.01,l13=0.01,l14=0.01,l23=0.01,l24=0.01,l34=0.01"
-        code, out, err = invoke(["sweep", "--samples", "3", "--edges", short])
-        v_code, _, v_err = invoke(["volume", "--edges", short])
-        assert code == v_code == 70
-        assert out == ""
-        assert err == v_err
+        code, out, _ = invoke(["sweep", "--samples", "3", "--edges", short])
+        v_code, _, _ = invoke(["volume", "--edges", short])
+        assert code == v_code == 0
+        assert len(out.strip().splitlines()) == 4
 
     def test_json_format(self):
         code, doc, _ = invoke_json(

@@ -140,6 +140,52 @@ class TestExists:
                     assert C.delta < -1e-8
 
 
+class TestFoldIntervalAgreesWithTheDeterminant:
+    """The paper's criterion holds exactly on the fold interval: det E, which
+    core.cofactors computes without l34_bounds, is negative inside (l1, l2)
+    and changes sign across both ends."""
+
+    # mp.mp.dps = 80; d = [mp.det(E(x)) for x in (-1, 0, 1)], E(x) the edge
+    # matrix of mp.cosh(lij) with x in the 3-4 slot; l1 < l2 are mp.acosh of
+    # the roots of ((d[2] + d[0]) / 2 - d[1]) x^2 + (d[2] - d[0]) / 2 x + d[1]
+    SCALENE = [
+        ((0.003, 0.0021, 0.0034, 0.0027, 0.0025),
+         0.0014860740050686680826, 0.0044722223615061880786),
+        ((1.2e-5, 9e-6, 1.1e-5, 7e-6, 1e-5),
+         3.4004107181871713276e-6, 0.000013811970904930602051),
+        ((14.0, 12.5, 16.0, 11.0, 13.5), 11.134795931362155677, 13.948130077173199697),
+        ((25.0, 20.0, 27.0, 22.0, 24.0), 23.828699036580969241, 24.157779465651170031),
+        ((0.02, 3.0, 3.01, 3.015, 2.995), 5.4384187576388219797, 6.0099560358764526224),
+    ]
+
+    @pytest.mark.parametrize("five, l1, l2", SCALENE)
+    def test_pinned_scalene_bounds(self, five, l1, l2):
+        b = l34_bounds(*five)
+        assert b.l1 == pytest.approx(l1, rel=1e-14, abs=0.0)
+        assert b.l2 == pytest.approx(l2, rel=1e-14, abs=0.0)
+
+    def test_determinant_changes_sign_at_both_ends(self):
+        rng = np.random.default_rng(20240817)  # the acceptance cases
+        fives = [sample_lengths(rng).as_tuple()[:5] for _ in range(100)]
+        fives += [(a,) * 5 for a in (1e-3, 0.01, 15.0, 30.0)]
+        fives += [five for five, _, _ in self.SCALENE]
+        for five in fives:
+            b = l34_bounds(*five)
+
+            def delta(t):
+                return cofactors(edge_matrix_from_lengths(EdgeLengths(*five, t))).delta
+
+            step = 1e-3 * (b.l2 - b.l1)
+            for t in (b.l1 + step, 0.5 * (b.l1 + b.l2), b.l2 - step):
+                assert delta(t) < 0.0, (five, t)
+            assert delta(b.l2 + step) > 0.0, five
+            # isosceles hinges (l13 = l14, l23 = l24) fold flat at l1 = 0
+            if b.l1 > step:
+                assert delta(b.l1 - step) > 0.0, five
+            else:
+                assert b.l1 == 0.0 and five[1] == five[2] and five[3] == five[4]
+
+
 class TestSampleLengths:
     @pytest.mark.parametrize("kwargs", [
         dict(lo=0.0015, hi=0.0045),

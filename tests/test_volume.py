@@ -167,6 +167,19 @@ class TestVolumeRegular:
         assert res.route == "regular"
         assert abs(res.value - ref) <= res.error_estimate
 
+    # the same integral where 3 theta + pi + phi1 nears 2 pi, the log
+    # singularity of Cl2; the bound there is about 6e-14
+    LONG = [
+        (29.0, 1.0149416063964363506),
+        (30.0, 1.0149416064046291827),
+        (31.0, 1.0149416064077456105),
+        (32.0, 1.0149416064089297707),
+    ]
+
+    @pytest.mark.parametrize("a, ref", LONG)
+    def test_long_edges_within_2e_14(self, a, ref):
+        assert abs(volume_regular(a).value - ref) <= 2e-14
+
     def test_readme_integral_agrees(self):
         # the paper's regular specialization, (1/2) int 0..a (A - B) / (C sqrt(D)),
         # by 64-node Gauss-Legendre in double precision; it and the quadrature
