@@ -32,6 +32,10 @@ EXTRA_CASES = (
     "l12=1,l13=1,l14=1,l23=1,l24=1,l34=0",              # flat lower fold bound
     # 5e-6 below l2, so validate skips its Schlafli check (step 1e-5)
     "l12=1,l13=1,l14=1,l23=1,l24=1,l34=1.6680454579626611",
+    # 1e-10 below l2, where the volume is integrated from l2
+    "l12=1,l13=1,l14=1,l23=1,l24=1,l34=1.6680504578626612",
+    # tri_123_diff -3.5e-12: past the boundary tolerance at the faces' scale
+    "l12=1,l13=2.0000000000035,l14=1,l23=1,l24=2,l34=3",
     ",".join(f"{k}=0.001" for k in EDGE_KEYS),          # regular, a = 1e-3
     ",".join(f"{k}=0.01" for k in EDGE_KEYS),           # regular, a = 0.01
     ",".join(f"{k}=15" for k in EDGE_KEYS),             # regular, a = 15

@@ -48,7 +48,6 @@ from .oracle import (
     volume_monte_carlo,
 )
 from .volume import (
-    QuadratureConfig,
     VolumeResult,
     schlafli_residual,
     volume_derivative,
@@ -79,7 +78,6 @@ __all__ = [
     "MonteCarloConfig",
     "NotATetrahedronError",
     "NumericalError",
-    "QuadratureConfig",
     "Tolerances",
     "VertexEmbedding",
     "VolumeResult",

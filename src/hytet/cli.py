@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 from .angles import dihedral_angles
 from .config import (ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_SAMPLES_MAX, MC_Z_LIMIT,
-                     ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT)
+                     QUADRATURE_TOL, ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT)
 from .core import (
     EDGE_KEYS,
     CofactorSet,
@@ -47,7 +47,6 @@ from .oracle import (
     volume_monte_carlo,
 )
 from .volume import (
-    QuadratureConfig,
     VolumeResult,
     schlafli_residual,
     volume_edges,
@@ -210,11 +209,11 @@ def _settings(args, doc: dict):
         except (TypeError, ValueError, OverflowError):
             raise _UsageError(f"{source} does not parse")
 
-    tol = pick(args.tol, "tol", "HYTET_TOL", 1e-10, float)
+    tol = pick(args.tol, "tol", "HYTET_TOL", QUADRATURE_TOL, float)
     mc_samples = pick(args.mc_samples, "mc_samples", "HYTET_MC_SAMPLES",
                       DEFAULT_MC_SAMPLES, int)
     seed = pick(args.seed, "seed", "HYTET_SEED", DEFAULT_SEED, int)
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise _UsageError("tolerance must be positive")
     if mc_samples < 2:
         # the Monte Carlo standard error needs two samples
@@ -223,8 +222,7 @@ def _settings(args, doc: dict):
         raise _UsageError(f"mc-samples must be <= {MC_SAMPLES_MAX}")
     if not 0 <= seed < 2 ** 64:
         raise _UsageError("seed must fit in 64 unsigned bits")
-    quad = QuadratureConfig(abs_tol=tol, rel_tol=tol)
-    return quad, mc_samples, seed
+    return tol, mc_samples, seed
 
 
 def _echo(lengths: EdgeLengths) -> dict:
@@ -292,13 +290,13 @@ def _require_tetrahedron(lengths: EdgeLengths):
     return report
 
 
-def _cmd_check(lengths, args, out, quad, mc_samples, seed) -> int:
+def _cmd_check(lengths, args, out, tol, mc_samples, seed) -> int:
     report = exists(lengths)
     _emit(_report_doc("check", report), args, out)
     return EXIT_OK if report.exists else EXIT_NOT_A_TETRAHEDRON
 
 
-def _cmd_angles(lengths, args, out, quad, mc_samples, seed) -> int:
+def _cmd_angles(lengths, args, out, tol, mc_samples, seed) -> int:
     report = _require_tetrahedron(lengths)
     blocks, _ = _angles_block(cofactors(edge_matrix_from_lengths(lengths)))
     _emit({**_report_doc("angles", report), **blocks}, args, out)
@@ -324,13 +322,13 @@ def _cross_routes(command: str, report, blocks, res, sf, emb, mc_samples, seed):
     return doc, abs(res.value - sf.value), z
 
 
-def _cmd_volume(lengths, args, out, quad, mc_samples, seed) -> int:
+def _cmd_volume(lengths, args, out, tol, mc_samples, seed) -> int:
     report = exists(lengths)
-    res = volume_edges(report, quad)
+    res = volume_edges(report, tol)
     if args.validate:
         E = edge_matrix_from_lengths(lengths)
         blocks, th = _angles_block(cofactors(E))
-        sf = volume_sforza(th, quad)
+        sf = volume_sforza(th, tol)
         doc, gap, z = _cross_routes("volume", report, blocks, res, sf,
                                     embed_vertices(E), mc_samples, seed)
         doc["agreement"] = {"edge_vs_sforza": _check(gap, ROUTE_GAP_LIMIT, "gap"),
@@ -342,10 +340,10 @@ def _cmd_volume(lengths, args, out, quad, mc_samples, seed) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(lengths, args, out, quad, mc_samples, seed) -> int:
+def _cmd_sweep(lengths, args, out, tol, mc_samples, seed) -> int:
     n = args.samples if args.samples is not None else DEFAULT_SWEEP_SAMPLES
     rows = [dict(zip(("t", "dVdt", "V"), row))
-            for row in volume_profile(lengths, n, quad)]
+            for row in volume_profile(lengths, n, tol)]
 
     if args.format == "json":
         doc = {"input": _echo(lengths), "command": "sweep", "rows": rows}
@@ -363,7 +361,7 @@ def _csv_number(v: float) -> str:
     return format(v, ".17g")
 
 
-def _cmd_validate(lengths, args, out, quad, mc_samples, seed) -> int:
+def _cmd_validate(lengths, args, out, tol, mc_samples, seed) -> int:
     report = _require_tetrahedron(lengths)
     E = edge_matrix_from_lengths(lengths)
     C = cofactors(E)
@@ -372,8 +370,8 @@ def _cmd_validate(lengths, args, out, quad, mc_samples, seed) -> int:
     emb = embed_vertices(E)
     th_geo = dihedral_angles_geometric(emb)
     angle_gap = max(abs(a - b) for a, b in zip(th.as_tuple(), th_geo.as_tuple()))
-    res = volume_edges(report, quad)
-    sf = volume_sforza(th, quad)
+    res = volume_edges(report, tol)
+    sf = volume_sforza(th, tol)
     doc, route_gap, z = _cross_routes("validate", report, blocks, res, sf, emb,
                                       mc_samples, seed)
     checks = {
@@ -446,7 +444,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--edges", help="inline lengths: l12=..,l13=..,l14=..,"
                                        "l23=..,l24=..,l34=..")
         p.add_argument("--tol", type=float, default=None,
-                       help="quadrature tolerance (default 1e-10, env HYTET_TOL)")
+                       help=f"quadrature tolerance (default {QUADRATURE_TOL:g}, "
+                            "env HYTET_TOL)")
         p.add_argument("--mc-samples", type=int, default=None, dest="mc_samples",
                        help="Monte Carlo sample count (env HYTET_MC_SAMPLES)")
         p.add_argument("--seed", type=int, default=None,
@@ -475,8 +474,8 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         args = _PARSER.parse_args(argv)
         doc = _load_document(args)
         lengths = _lengths_from_document(doc)
-        quad, mc_samples, seed = _settings(args, doc)
-        return _COMMANDS[args.command](lengths, args, out, quad, mc_samples, seed)
+        tol, mc_samples, seed = _settings(args, doc)
+        return _COMMANDS[args.command](lengths, args, out, tol, mc_samples, seed)
     except (_UsageError, DomainError) as e:
         print(f"hytet: input error: {e}", file=err)
         return EXIT_USAGE

@@ -2,8 +2,8 @@
 
 All magic thresholds used across the package live in one frozen record so
 they can be audited in one place; every module reads ``DEFAULT_TOL``.
-Everything is double precision; the defaults assume inputs of moderate size
-(edge lengths up to a few units).
+Everything is double precision.  The edge route holds to edges of about
+100, past which its coefficients overflow.
 """
 
 from __future__ import annotations
@@ -39,6 +39,12 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# The quadratures' accuracy target: consecutive levels agree within
+# tol * max(1, |value|).  The tight one is for results that feed a finite
+# difference (`validate`'s Schlafli check); `--tol` sets the other per request.
+QUADRATURE_TOL = 1e-10
+TIGHT_QUADRATURE_TOL = 1e-13
 
 # `validate` and `volume --validate`: the limits they check, the sample cap
 JACOBI_LIMIT = 1e-10

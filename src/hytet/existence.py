@@ -97,13 +97,28 @@ class ExistenceReport:
     lengths: EdgeLengths
 
 
-# the triangle_checks slack that each half-perimeter excess of l34_bounds halves
-_EXCESS_SLACKS = ("tri_123_sum", "tri_123_diff", "tri_123_diff",
-                  "tri_124_sum", "tri_124_diff", "tri_124_diff")
-
-
 def _near_zero(slack: float, scale: float) -> bool:
     return abs(slack) <= DEFAULT_TOL.boundary * (1.0 + abs(scale))
+
+
+def _faces(l12: float, l13: float, l14: float, l23: float,
+           l24: float) -> tuple[dict[str, float], list[str], bool]:
+    """Signed slacks of the four face inequalities, the names of those
+    violated, and whether any sits on the boundary; each is judged at the
+    scale of the five lengths the inequalities involve."""
+    slacks = {
+        "tri_123_sum": l13 + l23 - l12,
+        "tri_123_diff": l12 - abs(l13 - l23),
+        "tri_124_sum": l14 + l24 - l12,
+        "tri_124_diff": l12 - abs(l14 - l24),
+    }
+    scale = max(l12, l13, l14, l23, l24)
+    failed = [k for k, v in slacks.items() if v < 0 and not _near_zero(v, scale)]
+    return slacks, failed, any(_near_zero(v, scale) for v in slacks.values())
+
+
+def _face_ok(face: str, failed: list[str]) -> bool:
+    return not any(name.startswith(face) for name in failed)
 
 
 def triangle_checks(lengths: EdgeLengths) -> tuple[bool, bool, dict[str, float]]:
@@ -112,18 +127,8 @@ def triangle_checks(lengths: EdgeLengths) -> tuple[bool, bool, dict[str, float]]
     Returns (triangle 1-2-3 ok, triangle 1-2-4 ok, slacks).  A slack within
     the boundary tolerance of zero counts as satisfied (degenerate).
     """
-    slacks = {
-        "tri_123_sum": lengths.l13 + lengths.l23 - lengths.l12,
-        "tri_123_diff": lengths.l12 - abs(lengths.l13 - lengths.l23),
-        "tri_124_sum": lengths.l14 + lengths.l24 - lengths.l12,
-        "tri_124_diff": lengths.l12 - abs(lengths.l14 - lengths.l24),
-    }
-    scale = max(lengths.as_tuple())
-
-    def ok(*names: str) -> bool:
-        return all(slacks[n] >= 0 or _near_zero(slacks[n], scale) for n in names)
-
-    return ok("tri_123_sum", "tri_123_diff"), ok("tri_124_sum", "tri_124_diff"), slacks
+    slacks, failed, _ = _faces(*lengths.as_tuple()[:5])
+    return _face_ok("tri_123", failed), _face_ok("tri_124", failed), slacks
 
 
 def l34_bounds(
@@ -144,12 +149,9 @@ def l34_bounds(
               0.5 * (l14 + l24 - l12), 0.5 * (l12 + l24 - l14), 0.5 * (l12 + l14 - l24))
     clamped = min(excess) < 0.0
     if clamped:
-        scale = max(l12, l13, l14, l23, l24)
-        bad = [name for name, e in zip(_EXCESS_SLACKS, excess)
-               if e < 0.0 and not _near_zero(2.0 * e, scale)]
+        bad = _faces(l12, l13, l14, l23, l24)[1]
         if bad:
-            raise NotATetrahedronError(
-                f"face triangle inequality violated: {', '.join(dict.fromkeys(bad))}")
+            raise NotATetrahedronError(f"face triangle inequality violated: {', '.join(bad)}")
         excess = tuple(max(e, 0.0) for e in excess)
 
     sh = math.sinh
@@ -176,31 +178,37 @@ def l34_bounds(
 
 
 def exists(lengths: EdgeLengths) -> ExistenceReport:
-    """Full existence test.  Failures are report fields, never exceptions.
+    """Full existence test.  Failures are report fields, not exceptions; the
+    one exception is the OverflowError of ``l34_bounds`` past edges of a few
+    hundred.
 
     A hinge length l12 within tolerance of zero makes the fold construction
     collapse (vertices 1 and 2 coincide); such inputs are reported as
     nonexistent and degenerate.
     """
-    ok123, ok124, slacks = triangle_checks(lengths)
-    scale = max(lengths.as_tuple())
+    slacks, failed, degenerate = _faces(*lengths.as_tuple()[:5])
     hinge_ok = lengths.l12 > DEFAULT_TOL.boundary
     bounds = None
-    if hinge_ok and ok123 and ok124:
+    if hinge_ok and not failed:
         bounds = l34_bounds(*lengths.as_tuple()[:5])
-        slacks["l34_lower"] = lengths.l34 - bounds.l1
-        slacks["l34_upper"] = bounds.l2 - lengths.l34
-    failed = [k for k, v in slacks.items() if v < 0 and not _near_zero(v, scale)]
+        scale = max(lengths.as_tuple())
+        for name, slack in (("l34_lower", lengths.l34 - bounds.l1),
+                            ("l34_upper", bounds.l2 - lengths.l34)):
+            slacks[name] = slack
+            flat = _near_zero(slack, scale)
+            degenerate = degenerate or flat
+            if slack < 0 and not flat:
+                failed.append(name)
     if not hinge_ok:
         failed.append("l12_positive")
     # with bounds found, every face slack passed, so only l34 can have failed
     l34_in_range = bounds is not None and not failed
     return ExistenceReport(
-        tri_123_ok=ok123,
-        tri_124_ok=ok124,
+        tri_123_ok=_face_ok("tri_123", failed),
+        tri_124_ok=_face_ok("tri_124", failed),
         bounds=bounds,
         l34_in_range=l34_in_range,
-        degenerate=not hinge_ok or any(_near_zero(v, scale) for v in slacks.values()),
+        degenerate=not hinge_ok or degenerate,
         exists=l34_in_range,
         slacks=slacks,
         failed=tuple(failed),

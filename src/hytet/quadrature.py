@@ -20,9 +20,9 @@ is the difference between the last two levels, which for this rule is a
 conservative bound once convergence has set in.
 
 Nodes depend on the level alone, so each level's node table is built once
-per process, on the first call that reaches it: levels 0-11 (max_levels 12)
-hold 18,433 nodes in 0.47 MB, levels 0-13 (``volume.TIGHT_QUADRATURE``) 73,729
-in 1.9 MB, and levels 0-5, the deepest requests were seen to reach, 9 kB.
+per process, on the first call that reaches it.  Levels are capped at
+twelve, that is eleven halvings, where the table holds 18,433 nodes in
+0.47 MB; levels 0-5, the deepest requests were seen to reach, take 9 kB.
 """
 
 from __future__ import annotations
@@ -33,11 +33,15 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
+from .config import QUADRATURE_TOL
+from .errors import DomainError
+
 __all__ = ["QuadratureOutcome", "integrate"]
 
 # Beyond |u| = 4.5 the node weights are below 1e-55 relative; nothing an
 # integrable singularity can do overcomes that.
 _U_MAX = 4.5
+_MAX_LEVELS = 12
 
 
 @dataclass(frozen=True)
@@ -65,16 +69,16 @@ def integrate(
     f: Callable[[float, float, float], float],
     a: float,
     b: float,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-10,
-    max_levels: int = 12,
+    tol: float = QUADRATURE_TOL,
 ) -> QuadratureOutcome:
     """Integrate f over [a, b]; limits may be given in either order.
 
-    Stops when consecutive refinement levels agree to the requested
-    tolerance (whichever of abs_tol / rel_tol * |value| is larger), or
-    after ``max_levels`` levels, that is ``max_levels - 1`` halvings.
+    Stops when consecutive refinement levels agree within
+    ``tol * max(1, |value|)``, or at the level cap.  A tolerance that is
+    not positive raises DomainError.
     """
+    if not tol > 0.0:
+        raise DomainError(f"quadrature tolerance must be positive, got {tol!r}")
     if a == b:
         return QuadratureOutcome(0.0, 0.0, 0)
     sign = 1.0
@@ -87,8 +91,7 @@ def integrate(
     weight, scale = half * 0.5 * math.pi, half * 2.0
 
     evaluations, total, error = 0, 0.0, math.inf
-    # level 0 runs even when max_levels < 1
-    for level in range(max(max_levels, 1)):
+    for level in range(_MAX_LEVELS):
         h, upper, cu, cy2, den = _level(level)
         partial = 0.0
         for up, c, c2, d in zip(upper, cu, cy2, den):
@@ -106,6 +109,6 @@ def integrate(
         refined = 0.5 * total + partial * h
         error = abs(refined - total)
         total = refined
-        if level >= 3 and error <= max(abs_tol, rel_tol * abs(total)):
+        if level >= 3 and error <= tol * max(1.0, abs(total)):
             break
     return QuadratureOutcome(sign * total, error, evaluations)

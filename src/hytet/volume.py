@@ -16,7 +16,8 @@ through cofactors of the edge matrix, giving
 
 where x = cosh t, a_ij = cosh l_ij, sh_ij = sinh l_ij, c_ij are the
 cofactors of the edge matrix at l34 = t and Delta its determinant.  The
-volume is the integral of this from l1 to the actual l34.  Omega is the
+volume is the integral of this from l1 to the actual l34, or minus its
+integral from l34 to l2, where the volume vanishes too.  Omega is the
 stable form of the raw cofactor combination
 c14 (c11 c23 - c12 c13) / c11 + c24 (c13 c22 - c12 c23) / c22 divided by
 Delta: both parenthesized combinations are determinant multiples,
@@ -87,7 +88,7 @@ import math
 from dataclasses import dataclass, field
 
 from .angles import DihedralAngles, gram_from_angles
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, QUADRATURE_TOL, TIGHT_QUADRATURE_TOL
 from .core import EDGE_PAIRS, EdgeLengths, cofactor4, det4
 from .errors import (
     DomainError,
@@ -100,7 +101,6 @@ from .existence import ExistenceReport, L34Bounds, exists, l34_bounds
 from . import quadrature
 
 __all__ = [
-    "QuadratureConfig",
     "VolumeResult",
     "clausen",
     "volume_derivative",
@@ -113,35 +113,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and depth limit for the volume quadratures."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_levels: int = 12
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_levels < 3:
-            raise DomainError("max_levels must be at least 3")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-# used where the result feeds a finite-difference or cross-route comparison
-TIGHT_QUADRATURE = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_levels=14)
-
-
-@dataclass(frozen=True)
 class VolumeResult:
     """A volume value with its provenance and health indicators.
 
     ``route`` is one of ``edge_integral``, ``sforza``, ``regular``,
     ``monte_carlo``.  ``error_estimate`` is the quadrature's last-refinement
     difference, one Monte Carlo standard error, or the regular rounding
-    bound.  Tiny negative quadrature results (within abs_tol of zero) are
-    clamped to zero and flagged in ``diagnostics["clamped_negative"]``.
+    bound.  Tiny negative quadrature results (within the quadrature
+    tolerance of zero) are clamped to zero and flagged in
+    ``diagnostics["clamped_negative"]``.
     """
 
     value: float
@@ -231,14 +211,11 @@ class _EdgeIntegrand:
         self.pad_lo = self.pad_hi = 0.0
         self.guarded_nodes = 0
 
-    def integral(self, lower: float, upper: float, cfg: QuadratureConfig):
-        """Quadrature of dV/dt over [lower, upper] within [l1, l2]."""
-        self.pad_lo = lower - self.l1
-        self.pad_hi = self.l2 - upper
-        outcome = quadrature.integrate(
-            self.quadrature_node, lower, upper,
-            abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, max_levels=cfg.max_levels,
-        )
+    def integral(self, lower: float, upper: float, tol: float):
+        """Quadrature of dV/dt from lower to upper, either way round, within [l1, l2]."""
+        self.pad_lo = min(lower, upper) - self.l1
+        self.pad_hi = self.l2 - max(lower, upper)
+        outcome = quadrature.integrate(self.quadrature_node, lower, upper, tol)
         if not math.isfinite(outcome.value):  # the coefficients overflow past l ~ 100
             raise NumericalError(f"the volume integral came out as {outcome.value!r}")
         return outcome
@@ -336,13 +313,13 @@ def volume_derivative(lengths: EdgeLengths, t: float) -> float:
 def _result_from_quadrature(
     outcome: quadrature.QuadratureOutcome,
     route: str,
-    cfg: QuadratureConfig,
+    tol: float,
     diagnostics: dict,
 ) -> VolumeResult:
     value = outcome.value
     clamped = False
     if value < 0.0:
-        if value < -max(cfg.abs_tol, 10.0 * outcome.error):
+        if value < -max(tol, 10.0 * outcome.error):
             raise NumericalError(
                 f"volume quadrature returned {value!r}, negative beyond tolerance"
             )
@@ -360,40 +337,42 @@ def _result_from_quadrature(
 
 def volume_edges(
     lengths: EdgeLengths | ExistenceReport,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    quad_tol: float = QUADRATURE_TOL,
 ) -> VolumeResult:
-    """Volume by the edge-length integral from the flat bound l1 to l34.
+    """Volume by the edge-length integral from the nearer flat bound to l34.
 
-    ``lengths`` may be the ``exists`` report of the lengths, which spares
-    a second existence test.  Raises ExistenceError (with the report
-    attached) when the lengths do not satisfy the existence conditions.
-    Inputs on the degenerate boundary return an exact zero for l34 at the
-    lower bound, and integrate normally otherwise (the volume also vanishes
-    at the upper bound).
+    V vanishes at both fold bounds, so V = int_{l1}^{l34} = -int_{l34}^{l2};
+    starting at the nearer bound keeps the far bound's singularity at least
+    half the interval away and V from being the small difference of two
+    large parts.  ``lengths`` may be the ``exists`` report of the lengths,
+    which spares a second existence test.  Raises ExistenceError (with the
+    report attached) when the lengths do not satisfy the existence
+    conditions.  l34 at or past either bound, as ``exists`` allows within
+    its tolerance, gives an exact zero; just inside a bound V grows like
+    the square root of the distance, so it is integrated however close.
     """
     report, integ = _edge_integrand(lengths)
-    lengths = report.lengths
+    l1, l2, l34 = integ.l1, integ.l2, report.lengths.l34
 
     diagnostics = {
-        "l1": integ.l1,
-        "l2": integ.l2,
-        "delta_at_l34": -integ.neg_delta(lengths.l34, lengths.l34 - integ.l1,
-                                         integ.l2 - lengths.l34),
+        "l1": l1,
+        "l2": l2,
+        "delta_at_l34": -integ.neg_delta(l34, l34 - l1, l2 - l34),
         "degenerate": report.degenerate,
     }
-    if lengths.l34 <= integ.l1 + DEFAULT_TOL.boundary * (1.0 + integ.l1):
+    if not l1 < l34 < l2:
         diagnostics["guarded_nodes"] = 0
         return VolumeResult(0.0, 0.0, 0, "edge_integral", diagnostics)
 
-    outcome = integ.integral(integ.l1, min(lengths.l34, integ.l2), cfg)
+    outcome = integ.integral(l1 if l34 - l1 <= l2 - l34 else l2, l34, quad_tol)
     diagnostics["guarded_nodes"] = integ.guarded_nodes
-    return _result_from_quadrature(outcome, "edge_integral", cfg, diagnostics)
+    return _result_from_quadrature(outcome, "edge_integral", quad_tol, diagnostics)
 
 
 def volume_profile(
     lengths: EdgeLengths | ExistenceReport,
     samples: int,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    quad_tol: float = QUADRATURE_TOL,
 ) -> list[tuple[float, float, float]]:
     """Rows (t, dV/dt, V) on ``samples`` equally spaced values of l34.
 
@@ -412,7 +391,7 @@ def volume_profile(
         lower, _, volume = rows[-1]
         last = k == samples - 1
         t = l2 if last else l1 + k * step
-        volume += integ.integral(lower, t, cfg).value
+        volume += integ.integral(lower, t, quad_tol).value
         rows.append((t, -math.inf if last else integ.derivative(t), volume))
     return rows
 
@@ -465,9 +444,7 @@ def volume_regular(a: float) -> VolumeResult:
         "l1": 0.0, "l2": l2, "root_circle_distance": max(abs(abs(r) - 1.0) for r in z)})
 
 
-def volume_sforza(
-    angles: DihedralAngles, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> VolumeResult:
+def volume_sforza(angles: DihedralAngles, quad_tol: float = QUADRATURE_TOL) -> VolumeResult:
     """Volume from dihedral angles by the one-angle logarithmic integral.
 
     det F and its (3, 4) cofactor are quadratics in y = cos t, fitted
@@ -532,19 +509,12 @@ def volume_sforza(
         return 0.25 * math.log((c34 - r) / (c34 + r))
 
     # the antiderivative runs from t0 downward
-    outcome = quadrature.integrate(
-        f, t0, th34,
-        abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol, max_levels=cfg.max_levels,
-    )
+    outcome = quadrature.integrate(f, t0, th34, quad_tol)
     diagnostics = {"t0": t0, "det_at_th34": d_start}
-    return _result_from_quadrature(outcome, "sforza", cfg, diagnostics)
+    return _result_from_quadrature(outcome, "sforza", quad_tol, diagnostics)
 
 
-def schlafli_residual(
-    lengths: EdgeLengths | ExistenceReport,
-    h: float,
-    cfg: QuadratureConfig = TIGHT_QUADRATURE,
-) -> float:
+def schlafli_residual(lengths: EdgeLengths | ExistenceReport, h: float) -> float:
     """Consistency defect between the volume and the angle variation.
 
     Moves the sixth edge from l34 to l34 + h and returns
@@ -552,12 +522,13 @@ def schlafli_residual(
         | V(l34 + h) - V(l34) + (1/2) sum_ij lij (theta_ij(l34 + h) - theta_ij(l34)) |
 
     with the lengths in the sum held at their base values.  The volume
-    difference is one quadrature of dV/dt over [l34, l34 + h].  The
-    variational identity makes the first-order terms cancel exactly, so the
-    residual of these one-sided differences scales as h^2 (the coefficient
-    is the derivative of the 3-4 angle, whose own length coefficient moves
-    with the fold).  Requires a strictly interior configuration with margin
-    for the step.  ``lengths`` may be their ``exists`` report.
+    difference is one quadrature of dV/dt over [l34, l34 + h], at the tight
+    quadrature tolerance.  The variational identity makes the first-order
+    terms cancel exactly, so the residual of these one-sided differences
+    scales as h^2 (the coefficient is the derivative of the 3-4 angle, whose
+    own length coefficient moves with the fold).  Requires a strictly
+    interior configuration with margin for the step.  ``lengths`` may be
+    their ``exists`` report.
     """
     from .core import cofactors, edge_matrix_from_lengths
     from .angles import dihedral_angles
@@ -577,7 +548,7 @@ def schlafli_residual(
         )
 
     moved = lengths.with_l34(lengths.l34 + h)
-    dv = integ.integral(lengths.l34, moved.l34, cfg).value
+    dv = integ.integral(lengths.l34, moved.l34, TIGHT_QUADRATURE_TOL).value
     th0 = dihedral_angles(cofactors(edge_matrix_from_lengths(lengths)))
     th1 = dihedral_angles(cofactors(edge_matrix_from_lengths(moved)))
     lm = lengths.length_matrix()

@@ -43,6 +43,15 @@ class TestCheck:
         assert doc["existence"]["tri_123_ok"] is False
         assert any("tri_123" in name for name in doc["existence"]["failed"])
 
+    def test_face_violation_at_the_boundary_tolerance_prints_the_report(self):
+        code, doc, err = invoke_json(
+            ["check", "--edges", "l12=1,l13=2.0000000000035,l14=1,l23=1,l24=2,l34=3"]
+        )
+        assert code == 2
+        assert err == ""
+        assert doc["command"] == "check"
+        assert doc["existence"]["failed"] == ["tri_123_diff"]
+
     def test_out_of_range_l34(self):
         code, doc, _ = invoke_json(
             ["check", "--edges", "l12=1,l13=1,l14=1,l23=1,l24=1,l34=2"]

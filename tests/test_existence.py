@@ -112,6 +112,18 @@ class TestExists:
         assert not report.exists
         assert report.degenerate
 
+    def test_face_slack_judged_at_the_scale_of_its_five_lengths(self):
+        # tri_123_diff is -3.5e-12: beyond the boundary tolerance at the
+        # face lengths' scale 2, inside it at l34's scale 3
+        report = exists(EdgeLengths(1, 2 + 3.5e-12, 1, 1, 2, 3))
+        assert not report.exists
+        assert report.failed == ("tri_123_diff",)
+        assert not report.tri_123_ok and report.tri_124_ok
+        assert report.bounds is None
+        # the same faces without the excess are flat and pin l34 = 3
+        flat = exists(EdgeLengths(1, 2, 1, 1, 2, 3))
+        assert flat.exists and flat.degenerate
+
     def test_verdict_invariant_under_relabelings(self, rng):
         for _ in range(5):
             L = sample_lengths(rng)

@@ -42,7 +42,7 @@ class TestTanhSinh:
         assert out.evaluations == 0
 
     def test_error_estimate_is_honest(self):
-        out = integrate(plain(math.sin), 0.0, math.pi, abs_tol=1e-12, rel_tol=1e-12)
+        out = integrate(plain(math.sin), 0.0, math.pi, tol=1e-12)
         assert abs(out.value - 2.0) <= max(10 * out.error, 1e-12)
 
     def test_distances_sum_to_interval(self):
@@ -52,7 +52,7 @@ class TestTanhSinh:
             seen.append((x, da, db))
             return 0.0
 
-        integrate(probe, 2.0, 5.0, max_levels=4)
+        integrate(probe, 2.0, 5.0)  # a zero integrand stops at the fourth level
         for x, da, db in seen:
             assert da > 0 and db > 0
             assert da + db == pytest.approx(3.0, rel=1e-12)
@@ -77,12 +77,11 @@ class TestPinnedBits:
         (plain(math.exp), 1.0, 0.0, {},
          -1.7182818284590455, 1.5416556919944924e-11, 73),
         (lambda x, da, db: math.log(da), 0.0, 1.0,
-         {"abs_tol": 1e-13, "rel_tol": 1e-13, "max_levels": 14},
+         {"tol": 1e-13},
          -1.0, 0.0, 145),
-        # a kink at 0.3 never converges, so every one of the 14 levels runs
-        (plain(lambda x: abs(x - 0.3)), 0.0, 1.0,
-         {"abs_tol": 1e-13, "rel_tol": 1e-13, "max_levels": 14},
-         0.2900000005710371, 2.4700408385314176e-10, 73729),
+        # a kink at 0.3 never converges, so every one of the 12 levels runs
+        (plain(lambda x: abs(x - 0.3)), 0.0, 1.0, {"tol": 1e-13},
+         0.2899999943559737, 4.074843668044892e-08, 18433),
     ], ids=["exp", "inverse_sqrt", "log", "reversed", "tight_log", "tight_kink"])
     def test_outcome_is_bit_exact(self, f, a, b, kwargs, value, error, evaluations):
         out = integrate(f, a, b, **kwargs)

@@ -11,7 +11,6 @@ from hytet import (
     InconsistentAnglesError,
     DihedralAngles,
     NotATetrahedronError,
-    QuadratureConfig,
     cofactors,
     dihedral_angles,
     edge_matrix_from_lengths,
@@ -27,7 +26,7 @@ from hytet import (
     volume_sforza,
 )
 from hytet import volume as volume_module
-from hytet.volume import TIGHT_QUADRATURE
+from hytet.config import TIGHT_QUADRATURE_TOL
 
 FIVE_ONES = dict(l12=1.0, l13=1.0, l14=1.0, l23=1.0, l24=1.0)
 
@@ -40,16 +39,17 @@ class TestVolumeDerivative:
     def test_matches_central_difference_of_volume(self):
         L = EdgeLengths(**FIVE_ONES, l34=1.0)
         h = 1e-5
-        vp = volume_edges(L.with_l34(1.0 + h), TIGHT_QUADRATURE).value
-        vm = volume_edges(L.with_l34(1.0 - h), TIGHT_QUADRATURE).value
+        vp = volume_edges(L.with_l34(1.0 + h), TIGHT_QUADRATURE_TOL).value
+        vm = volume_edges(L.with_l34(1.0 - h), TIGHT_QUADRATURE_TOL).value
         fd = (vp - vm) / (2 * h)
         exact = volume_derivative(L, 1.0)
         assert exact == pytest.approx(fd, rel=1e-6)
 
     def test_full_interval_integral_vanishes(self):
-        b = l34_bounds(1, 1, 1, 1, 1)
-        L = EdgeLengths(**FIVE_ONES, l34=b.l2)
-        assert abs(volume_edges(L).value) < 1e-6
+        # two samples make one segment, the quadrature over all of [l1, l2]
+        t, _, full = volume_profile(EdgeLengths(**FIVE_ONES, l34=1.0), 2)[-1]
+        assert t == l34_bounds(1, 1, 1, 1, 1).l2
+        assert abs(full) < 1e-6
 
     def test_sign_change_at_interior_argmax(self):
         # bracket the argmax with a central-difference oracle, bisect, and
@@ -59,8 +59,8 @@ class TestVolumeDerivative:
         h = 1e-6
 
         def fd(t):
-            vp = volume_edges(base.with_l34(t + h), TIGHT_QUADRATURE).value
-            vm = volume_edges(base.with_l34(t - h), TIGHT_QUADRATURE).value
+            vp = volume_edges(base.with_l34(t + h), TIGHT_QUADRATURE_TOL).value
+            vm = volume_edges(base.with_l34(t - h), TIGHT_QUADRATURE_TOL).value
             return (vp - vm) / (2 * h)
 
         lo, hi = b.l1 + 0.2, b.l2 - 0.05
@@ -112,6 +112,47 @@ class TestVolumeEdges:
             assert volume_edges(L.relabel(sigma)).value == pytest.approx(
                 reference, abs=1e-10
             )
+
+    # All-ones faces with l34 = l2 - gap, l2 from l34_bounds.  The references
+    # integrate the paper's integrand in mpmath at 40 digits over the same
+    # gap below the exact upper fold bound.  The float l2 lies 1.4e-16 below
+    # that bound, so against the volume at the float l34 itself the route
+    # reads about 7e-17 / gap relative off: input rounding, which no route
+    # can remove.
+    @pytest.mark.parametrize("gap, ref", [
+        (1e-6, 0.00020322373812642385),
+        (1e-8, 2.032238818583626e-05),
+        (1e-10, 2.0322389232672716e-06),
+    ])
+    def test_near_the_upper_flat_bound(self, gap, ref):
+        l2 = l34_bounds(1, 1, 1, 1, 1).l2
+        res = volume_edges(EdgeLengths(**FIVE_ONES, l34=l2 - gap))
+        assert res.value == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("past", [0.0, 1e-12])
+    def test_exact_zero_at_or_past_the_upper_bound(self, past):
+        l2 = l34_bounds(1, 1, 1, 1, 1).l2
+        res = volume_edges(EdgeLengths(**FIVE_ONES, l34=l2 + past))
+        assert (res.value, res.evaluations) == (0.0, 0)
+
+    # Just inside a bound V grows like the square root of the distance, so
+    # 1e-13 from a bound it is still far above the quadrature tolerance.
+    # References as above, over the same distance from the exact bound.
+    @pytest.mark.parametrize("l34, ref", [
+        (2.040273544212972, 1.9102727280318964e-09),  # 1.0e-13 above l1
+        (2.170484087112618, 3.2855191841192392e-09),  # 2.8e-13 below l2
+    ])
+    def test_integrated_however_close_to_a_bound(self, l34, ref):
+        five = (0.07466798000732612, 0.07521564020259743, 2.1040084739506772,
+                0.10693684301372494, 2.0689788973633476)
+        res = volume_edges(EdgeLengths(*five, l34))
+        assert res.value == pytest.approx(ref, rel=1e-11, abs=0)
+
+    def test_bound_diagnostics_equal_l34_bounds(self, random_cases):
+        for L in random_cases[:10]:
+            res = volume_edges(L)
+            b = l34_bounds(L.l12, L.l13, L.l14, L.l23, L.l24)
+            assert (res.diagnostics["l1"], res.diagnostics["l2"]) == (b.l1, b.l2)
 
     def test_nonnegative_and_below_ideal_bound(self, random_cases):
         from hytet import lobachevsky
@@ -350,19 +391,13 @@ class TestReportInPlaceOfLengths:
         assert exists(all_ones).lengths is all_ones
 
 
-class TestQuadratureConfig:
-    def test_validation(self):
+class TestQuadratureTolerance:
+    @pytest.mark.parametrize("route", [
+        volume_edges,
+        lambda lengths, tol: volume_profile(lengths, 5, tol),
+        lambda lengths, tol: volume_sforza(angles_of(lengths), tol),
+    ], ids=["edges", "profile", "sforza"])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_nonpositive_tolerance_raises_on_each_route(self, route, tol):
         with pytest.raises(DomainError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureConfig(max_levels=2)
-
-    def test_cross_check_of_lower_limit_expressions(self, random_cases):
-        # volume_edges asserts the factored roots against the closed-form
-        # bounds on every call; running it across the sample set exercises
-        # the check
-        for L in random_cases[:10]:
-            res = volume_edges(L)
-            b = l34_bounds(L.l12, L.l13, L.l14, L.l23, L.l24)
-            assert res.diagnostics["l1"] == pytest.approx(b.l1, abs=1e-9)
-            assert res.diagnostics["l2"] == pytest.approx(b.l2, abs=1e-9)
+            route(EdgeLengths(**FIVE_ONES, l34=1.0), tol)
