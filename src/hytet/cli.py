@@ -256,7 +256,14 @@ def _existence_block(report) -> dict:
     return block
 
 
-def _volume_block(res: VolumeResult) -> dict:
+def _warn_unconverged(err, converged: bool, what: str) -> None:
+    if not converged:
+        print(f"hytet: warning: {what} stopped at the quadrature's panel cap, "
+              "short of the tolerance", file=err)
+
+
+def _volume_block(res: VolumeResult, err) -> dict:
+    _warn_unconverged(err, res.diagnostics.get("converged", True), f"the {res.route} volume")
     return {
         "value": res.value,
         "error_estimate": res.error_estimate,
@@ -290,13 +297,13 @@ def _require_tetrahedron(lengths: EdgeLengths):
     return report
 
 
-def _cmd_check(lengths, args, out, tol, mc_samples, seed) -> int:
+def _cmd_check(lengths, args, out, err, tol, mc_samples, seed) -> int:
     report = exists(lengths)
     _emit(_report_doc("check", report), args, out)
     return EXIT_OK if report.exists else EXIT_NOT_A_TETRAHEDRON
 
 
-def _cmd_angles(lengths, args, out, tol, mc_samples, seed) -> int:
+def _cmd_angles(lengths, args, out, err, tol, mc_samples, seed) -> int:
     report = _require_tetrahedron(lengths)
     blocks, _ = _angles_block(cofactors(edge_matrix_from_lengths(lengths)))
     _emit({**_report_doc("angles", report), **blocks}, args, out)
@@ -307,7 +314,7 @@ def _check(value: float, limit: float, key: str = "value") -> dict:
     return {key: value, "limit": limit, "pass": value < limit}
 
 
-def _cross_routes(command: str, report, blocks, res, sf, emb, mc_samples, seed):
+def _cross_routes(command: str, report, blocks, res, sf, emb, err, mc_samples, seed):
     """Monte Carlo volume, the document `validate` and `volume --validate`
     share before their verdicts, and the edge volume's gaps to the Sforza
     volume and, in standard errors, to the Monte Carlo one.  Each caller
@@ -315,14 +322,14 @@ def _cross_routes(command: str, report, blocks, res, sf, emb, mc_samples, seed):
     one is reported."""
     mc = volume_monte_carlo(emb, MonteCarloConfig(seed=seed, samples=mc_samples))
     doc = _report_doc(command, report)
-    doc["volume"] = {"edge_integral": _volume_block(res), "sforza": _volume_block(sf),
-                     "monte_carlo": _volume_block(mc)}
+    doc["volume"] = {"edge_integral": _volume_block(res, err),
+                     "sforza": _volume_block(sf, err), "monte_carlo": _volume_block(mc, err)}
     doc.update(blocks)
     z = abs(res.value - mc.value) / mc.error_estimate if mc.error_estimate else 0.0
     return doc, abs(res.value - sf.value), z
 
 
-def _cmd_volume(lengths, args, out, tol, mc_samples, seed) -> int:
+def _cmd_volume(lengths, args, out, err, tol, mc_samples, seed) -> int:
     report = exists(lengths)
     res = volume_edges(report, tol)
     if args.validate:
@@ -330,20 +337,21 @@ def _cmd_volume(lengths, args, out, tol, mc_samples, seed) -> int:
         blocks, th = _angles_block(cofactors(E))
         sf = volume_sforza(th, tol)
         doc, gap, z = _cross_routes("volume", report, blocks, res, sf,
-                                    embed_vertices(E), mc_samples, seed)
+                                    embed_vertices(E), err, mc_samples, seed)
         doc["agreement"] = {"edge_vs_sforza": _check(gap, ROUTE_GAP_LIMIT, "gap"),
                             "monte_carlo_z": _check(z, MC_Z_LIMIT, "z")}
     else:
         doc = _report_doc("volume", report)
-        doc["volume"] = {"edge_integral": _volume_block(res)}
+        doc["volume"] = {"edge_integral": _volume_block(res, err)}
     _emit(doc, args, out)
     return EXIT_OK
 
 
-def _cmd_sweep(lengths, args, out, tol, mc_samples, seed) -> int:
+def _cmd_sweep(lengths, args, out, err, tol, mc_samples, seed) -> int:
     n = args.samples if args.samples is not None else DEFAULT_SWEEP_SAMPLES
-    rows = [dict(zip(("t", "dVdt", "V"), row))
-            for row in volume_profile(lengths, n, tol)]
+    profile = volume_profile(lengths, n, tol)
+    _warn_unconverged(err, profile.converged, "a sweep segment's volume")
+    rows = [dict(zip(("t", "dVdt", "V"), row)) for row in profile]
 
     if args.format == "json":
         doc = {"input": _echo(lengths), "command": "sweep", "rows": rows}
@@ -361,7 +369,7 @@ def _csv_number(v: float) -> str:
     return format(v, ".17g")
 
 
-def _cmd_validate(lengths, args, out, tol, mc_samples, seed) -> int:
+def _cmd_validate(lengths, args, out, err, tol, mc_samples, seed) -> int:
     report = _require_tetrahedron(lengths)
     E = edge_matrix_from_lengths(lengths)
     C = cofactors(E)
@@ -372,7 +380,7 @@ def _cmd_validate(lengths, args, out, tol, mc_samples, seed) -> int:
     angle_gap = max(abs(a - b) for a, b in zip(th.as_tuple(), th_geo.as_tuple()))
     res = volume_edges(report, tol)
     sf = volume_sforza(th, tol)
-    doc, route_gap, z = _cross_routes("validate", report, blocks, res, sf, emb,
+    doc, route_gap, z = _cross_routes("validate", report, blocks, res, sf, emb, err,
                                       mc_samples, seed)
     checks = {
         "jacobi_max_relative": _check(jac, JACOBI_LIMIT),
@@ -380,7 +388,7 @@ def _cmd_validate(lengths, args, out, tol, mc_samples, seed) -> int:
         "edge_vs_sforza": _check(route_gap, ROUTE_GAP_LIMIT),
         "monte_carlo_z": _check(z, MC_Z_LIMIT),
     }
-    h = 1e-5
+    h = 1e-5 * min(1.0, lengths.l34)  # the residual's h^2 term grows as the edges shrink
     if not report.degenerate and lengths.l34 + h < report.bounds.l2:
         resid = schlafli_residual(report, h)
         checks["schlafli_residual"] = _check(resid, SCHLAFLI_LIMIT)
@@ -475,7 +483,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         doc = _load_document(args)
         lengths = _lengths_from_document(doc)
         tol, mc_samples, seed = _settings(args, doc)
-        return _COMMANDS[args.command](lengths, args, out, tol, mc_samples, seed)
+        return _COMMANDS[args.command](lengths, args, out, err, tol, mc_samples, seed)
     except (_UsageError, DomainError) as e:
         print(f"hytet: input error: {e}", file=err)
         return EXIT_USAGE

@@ -40,7 +40,7 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
-# The quadratures' accuracy target: consecutive levels agree within
+# The quadratures' accuracy target: the summed error estimate is at most
 # tol * max(1, |value|).  The tight one is for results that feed a finite
 # difference (`validate`'s Schlafli check); `--tol` sets the other per request.
 QUADRATURE_TOL = 1e-10

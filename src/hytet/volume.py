@@ -85,11 +85,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .angles import DihedralAngles, gram_from_angles
+from .angles import DihedralAngles, dihedral_angles, gram_from_angles
 from .config import DEFAULT_TOL, QUADRATURE_TOL, TIGHT_QUADRATURE_TOL
-from .core import EDGE_PAIRS, EdgeLengths, cofactor4, det4
+from .core import (EDGE_PAIRS, EdgeLengths, cofactor4, cofactors, det4,
+                   edge_matrix_from_lengths)
 from .errors import (
     DomainError,
     ExistenceError,
@@ -117,11 +118,12 @@ class VolumeResult:
     """A volume value with its provenance and health indicators.
 
     ``route`` is one of ``edge_integral``, ``sforza``, ``regular``,
-    ``monte_carlo``.  ``error_estimate`` is the quadrature's last-refinement
-    difference, one Monte Carlo standard error, or the regular rounding
+    ``monte_carlo``.  ``error_estimate`` is the quadrature's summed
+    |K15 - G7|, one Monte Carlo standard error, or the regular rounding
     bound.  Tiny negative quadrature results (within the quadrature
     tolerance of zero) are clamped to zero and flagged in
-    ``diagnostics["clamped_negative"]``.
+    ``diagnostics["clamped_negative"]``; ``diagnostics["converged"]`` is
+    false when a quadrature stopped at its panel cap.
     """
 
     value: float
@@ -207,18 +209,21 @@ class _EdgeIntegrand:
             # r = l sinh l - 2u of l12, l13, l14, l23, l24
             *(4.0 * h * _ycosh_sinh(0.5 * x, h, math.sqrt(1.0 + h * h))
               for h, x in zip(halves, fixed)))
-        # distances from the current integration limits to the flat roots
-        self.pad_lo = self.pad_hi = 0.0
         self.guarded_nodes = 0
 
     def integral(self, lower: float, upper: float, tol: float):
-        """Quadrature of dV/dt from lower to upper, either way round, within [l1, l2]."""
-        self.pad_lo = min(lower, upper) - self.l1
-        self.pad_hi = self.l2 - max(lower, upper)
-        outcome = quadrature.integrate(self.quadrature_node, lower, upper, tol)
+        """Quadrature of dV/dt from lower to upper, either way round, within
+        [l1, l2]; the rule's singular end is the limit nearer a flat root."""
+        lo, hi = min(lower, upper), max(lower, upper)
+        pad_lo, pad_hi = lo - self.l1, self.l2 - hi  # limits to flat roots
+        if pad_lo <= pad_hi:  # node(t, distance to the anchor, to the other limit)
+            a, b, node = lo, hi, lambda t, d, e: self.quadrature_node(t, pad_lo + d, pad_hi + e)
+        else:
+            a, b, node = hi, lo, lambda t, d, e: self.quadrature_node(t, pad_lo + e, pad_hi + d)
+        outcome = quadrature.integrate(node, a, b, tol)
         if not math.isfinite(outcome.value):  # the coefficients overflow past l ~ 100
             raise NumericalError(f"the volume integral came out as {outcome.value!r}")
-        return outcome
+        return outcome if a == lower else replace(outcome, value=-outcome.value)
 
     def neg_delta(self, t: float, gap_lo: float, gap_hi: float) -> float:
         """-Delta at parameter t from its exact distances t - l1 and l2 - t,
@@ -254,9 +259,9 @@ class _EdgeIntegrand:
         psi = 2.0 * _ycosh_sinh(0.5 * t, half_sh, half_ch) / half_ch  # t - 2 tanh(t/2)
         return (-half_sh * half_ch * (euler + rest) - 0.5 * omega * psi) / math.sqrt(neg_delta)
 
-    def quadrature_node(self, t: float, dist_lo: float, dist_hi: float) -> float:
-        """Integrand for the quadrature; distances refer to the bound interval."""
-        neg_delta = self.neg_delta(t, self.pad_lo + dist_lo, self.pad_hi + dist_hi)
+    def quadrature_node(self, t: float, gap_lo: float, gap_hi: float) -> float:
+        """Integrand for the quadrature, given t's distances to l1 and l2."""
+        neg_delta = self.neg_delta(t, gap_lo, gap_hi)
         if neg_delta <= 0.0:
             self.guarded_nodes += 1
             return 0.0
@@ -317,22 +322,11 @@ def _result_from_quadrature(
     diagnostics: dict,
 ) -> VolumeResult:
     value = outcome.value
-    clamped = False
-    if value < 0.0:
-        if value < -max(tol, 10.0 * outcome.error):
-            raise NumericalError(
-                f"volume quadrature returned {value!r}, negative beyond tolerance"
-            )
-        value = 0.0
-        clamped = True
-    diagnostics["clamped_negative"] = clamped
-    return VolumeResult(
-        value=value,
-        error_estimate=outcome.error,
-        evaluations=outcome.evaluations,
-        route=route,
-        diagnostics=diagnostics,
-    )
+    if value < -max(tol, 10.0 * outcome.error):
+        raise NumericalError(f"volume quadrature returned {value!r}, negative beyond tolerance")
+    diagnostics["clamped_negative"] = value < 0.0
+    diagnostics["converged"] = outcome.converged
+    return VolumeResult(max(value, 0.0), outcome.error, outcome.evaluations, route, diagnostics)
 
 
 def volume_edges(
@@ -369,11 +363,17 @@ def volume_edges(
     return _result_from_quadrature(outcome, "edge_integral", quad_tol, diagnostics)
 
 
+class VolumeProfile(list):
+    """Rows of ``volume_profile``; ``converged`` is false if a segment's was not."""
+
+    converged = True
+
+
 def volume_profile(
     lengths: EdgeLengths | ExistenceReport,
     samples: int,
     quad_tol: float = QUADRATURE_TOL,
-) -> list[tuple[float, float, float]]:
+) -> VolumeProfile:
     """Rows (t, dV/dt, V) on ``samples`` equally spaced values of l34.
 
     The grid runs between the fold bounds l1 and l2, where V vanishes and
@@ -386,12 +386,14 @@ def volume_profile(
         raise DomainError(f"a volume profile needs at least 2 samples, got {samples!r}")
     l1, l2 = integ.l1, integ.l2
     step = (l2 - l1) / (samples - 1)
-    rows = [(l1, math.inf, 0.0)]
+    rows = VolumeProfile([(l1, math.inf, 0.0)])
     for k in range(1, samples):
         lower, _, volume = rows[-1]
         last = k == samples - 1
         t = l2 if last else l1 + k * step
-        volume += integ.integral(lower, t, quad_tol).value
+        outcome = integ.integral(lower, t, quad_tol)
+        volume += outcome.value
+        rows.converged = rows.converged and outcome.converged
         rows.append((t, -math.inf if last else integ.derivative(t), volume))
     return rows
 
@@ -530,9 +532,6 @@ def schlafli_residual(lengths: EdgeLengths | ExistenceReport, h: float) -> float
     interior configuration with margin for the step.  ``lengths`` may be
     their ``exists`` report.
     """
-    from .core import cofactors, edge_matrix_from_lengths
-    from .angles import dihedral_angles
-
     if not 0.0 < h < 0.1:
         raise DomainError(f"step h must be in (0, 0.1), got {h!r}")
     report, integ = _edge_integrand(lengths)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -445,6 +446,32 @@ class TestValidate:
             ["validate", "--edges", "l12=3,l13=1,l14=1,l23=1,l24=1,l34=1"]
         )
         assert code == 2
+
+    def test_short_regular_edges_pass(self):
+        # the Schlafli step scales with l34: at a fixed 1e-5 its h^2 term
+        # read 1.2e-8 against the 1e-8 limit on this correct volume
+        edges = ",".join(f"{k}=0.001" for k in hytet.EDGE_KEYS)
+        code, doc, err = invoke_json(["validate", "--edges", edges])
+        assert (code, err) == (0, "")
+        assert all(block["pass"] for block in doc["checks"].values())
+        assert doc["checks"]["schlafli_residual"]["value"] < 1e-13
+
+
+class TestQuadratureWarning:
+    @pytest.mark.parametrize("command", [["volume"], ["volume", "--validate"], ["sweep"],
+                                         ["validate"]])
+    def test_unconverged_quadrature_warns_on_stderr(self, command, monkeypatch):
+        from hytet import quadrature
+
+        code, out, err = invoke([*command, "--mc-samples", "2000", "--edges", ONES])
+        assert (code, err) == (0, "")
+        integrate = quadrature.integrate
+        monkeypatch.setattr(quadrature, "integrate", lambda *args: dataclasses.replace(
+            integrate(*args), converged=False))
+        code, capped, err = invoke([*command, "--mc-samples", "2000", "--edges", ONES])
+        assert code == 0
+        assert err.startswith("hytet: warning:") and "panel cap" in err
+        assert capped == out.replace('"converged": true', '"converged": false')
 
 
 class TestRunState:

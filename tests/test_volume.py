@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -26,7 +27,8 @@ from hytet import (
     volume_sforza,
 )
 from hytet import volume as volume_module
-from hytet.config import TIGHT_QUADRATURE_TOL
+from hytet import quadrature
+from hytet.config import SCHLAFLI_LIMIT, TIGHT_QUADRATURE_TOL
 
 FIVE_ONES = dict(l12=1.0, l13=1.0, l14=1.0, l23=1.0, l24=1.0)
 
@@ -147,6 +149,14 @@ class TestVolumeEdges:
                 0.10693684301372494, 2.0689788973633476)
         res = volume_edges(EdgeLengths(*five, l34))
         assert res.value == pytest.approx(ref, rel=1e-11, abs=0)
+
+    def test_mean_evaluations_on_the_acceptance_cases(self):
+        # one Gauss-Kronrod panel of 15 nodes mostly, a split at most
+        rng = np.random.default_rng(20240817)
+        results = [volume_edges(sample_lengths(rng)) for _ in range(100)]
+        assert sum(r.evaluations for r in results) / len(results) <= 33
+        assert max(r.evaluations for r in results) <= 45
+        assert all(r.diagnostics["converged"] for r in results)
 
     def test_bound_diagnostics_equal_l34_bounds(self, random_cases):
         for L in random_cases[:10]:
@@ -346,6 +356,17 @@ class TestSchlafliResidual:
         with pytest.raises(Exception):
             schlafli_residual(EdgeLengths(**FIVE_ONES, l34=0.0), 1e-5)
 
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    def test_a_scaled_integrand_fails_the_limit(self, a, monkeypatch):
+        # validate's step is 1e-5 from l34 = 1 up; an integrand 10% off
+        # moves the residual to 3.8e-8 at a = 1
+        node = volume_module._EdgeIntegrand.quadrature_node
+        L = EdgeLengths(*(a,) * 6)
+        assert schlafli_residual(L, 1e-5) < SCHLAFLI_LIMIT
+        monkeypatch.setattr(volume_module._EdgeIntegrand, "quadrature_node",
+                            lambda self, *args: 1.1 * node(self, *args))
+        assert schlafli_residual(L, 1e-5) > SCHLAFLI_LIMIT
+
 
 class TestReportInPlaceOfLengths:
     """The edge routes take the existence report of their lengths and then
@@ -401,3 +422,25 @@ class TestQuadratureTolerance:
     def test_nonpositive_tolerance_raises_on_each_route(self, route, tol):
         with pytest.raises(DomainError):
             route(EdgeLengths(**FIVE_ONES, l34=1.0), tol)
+
+
+class TestConvergence:
+    """Each quadrature route says whether its rule met the tolerance."""
+
+    ROUTES = [
+        lambda lengths: volume_edges(lengths).diagnostics["converged"],
+        lambda lengths: volume_profile(lengths, 5).converged,
+        lambda lengths: volume_sforza(angles_of(lengths)).diagnostics["converged"],
+    ]
+    IDS = ["edges", "profile", "sforza"]
+
+    @pytest.mark.parametrize("route", ROUTES, ids=IDS)
+    def test_converged_by_default(self, route, all_ones):
+        assert route(all_ones) is True
+
+    @pytest.mark.parametrize("route", ROUTES, ids=IDS)
+    def test_a_capped_quadrature_is_reported(self, route, all_ones, monkeypatch):
+        integrate = quadrature.integrate
+        monkeypatch.setattr(quadrature, "integrate", lambda *args: dataclasses.replace(
+            integrate(*args), converged=False))
+        assert route(all_ones) is False
