@@ -1,0 +1,117 @@
+"""Time each layer of the package on the 100 acceptance cases.
+
+Prints one markdown row per layer: the median over 5 passes of one pass's
+``time.perf_counter`` time divided by its calls, in-process.  A pass calls
+the layer once on each of the 100 acceptance cases (``sample_lengths``
+drawn from the acceptance seed).  Whatever a layer takes from an earlier
+layer (the edge matrix, the cofactors, the angles, the ``exists`` report,
+the embedding) is built before the clock starts, so each row times that
+layer alone.  The volume routes add their mean integrand evaluations.
+
+- ``schlafli_residual`` takes validate's step, 1e-5 min(1, l34).
+- ``volume_regular`` takes each case's l12 as its edge.
+- ``lobachevsky`` takes each case's angle th12.
+- Monte Carlo draws 10,000 samples per case (seed: the case's index), so
+  one pass draws 10^6 samples and its row is the time of the whole pass.
+
+The checkout's own ``src`` is the one imported, so running this script
+from two checkouts compares them.  On a shared host timings drift over
+time, so compare runs made one after the other.
+
+Usage: python scripts/layer_times.py
+"""
+
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from hytet import (  # noqa: E402
+    MonteCarloConfig,
+    cofactors,
+    dihedral_angles,
+    dihedral_angles_geometric,
+    edge_matrix_from_lengths,
+    embed_vertices,
+    euclidean_volume_cm,
+    exists,
+    lobachevsky,
+    sample_lengths,
+    schlafli_residual,
+    volume_edges,
+    volume_monte_carlo,
+    volume_regular,
+    volume_sforza,
+)
+
+ACCEPTANCE_SEED = 20240817
+PASSES = 5
+MC_SAMPLES = 10_000
+MONTE_CARLO = "volume_monte_carlo, per 10^6 samples"
+
+
+def timed(fn, args) -> tuple[float, list]:
+    """Median seconds per pass of fn over args, and the first pass's results."""
+    times, first = [], None
+    for _ in range(PASSES):
+        start = time.perf_counter()
+        results = [fn(*a) for a in args]
+        times.append(time.perf_counter() - start)
+        first = first if first is not None else results
+    return statistics.median(times), first
+
+
+def main() -> None:
+    rng = np.random.default_rng(ACCEPTANCE_SEED)
+    lengths = [sample_lengths(rng) for _ in range(100)]
+    matrices = [edge_matrix_from_lengths(L) for L in lengths]
+    cofs = [cofactors(E) for E in matrices]
+    angles = [dihedral_angles(C) for C in cofs]
+    reports = [exists(L) for L in lengths]
+    embeddings = [embed_vertices(E) for E in matrices]
+    steps = [(r, 1e-5 * min(1.0, L.l34)) for r, L in zip(reports, lengths)
+             if L.l34 + 1e-5 * min(1.0, L.l34) < r.bounds.l2]
+
+    rows = (
+        ("exists", exists, [(L,) for L in lengths]),
+        ("edge_matrix_from_lengths", edge_matrix_from_lengths, [(L,) for L in lengths]),
+        ("cofactors", cofactors, [(E,) for E in matrices]),
+        ("dihedral_angles", dihedral_angles, [(C,) for C in cofs]),
+        ("embed_vertices", embed_vertices, [(E,) for E in matrices]),
+        ("dihedral_angles_geometric", dihedral_angles_geometric,
+         [(emb,) for emb in embeddings]),
+        ("euclidean_volume_cm", euclidean_volume_cm, [(L,) for L in lengths]),
+        ("volume_edges", volume_edges, [(r,) for r in reports]),
+        ("volume_sforza", volume_sforza, [(th,) for th in angles]),
+        ("schlafli_residual", schlafli_residual, steps),
+        ("volume_regular", volume_regular, [(L.l12,) for L in lengths]),
+        (MONTE_CARLO, volume_monte_carlo,
+         [(emb, MonteCarloConfig(seed=k, samples=MC_SAMPLES))
+          for k, emb in enumerate(embeddings)]),
+        ("lobachevsky", lobachevsky, [(th.th12,) for th in angles]),
+    )
+
+    print(f"python {platform.python_version()}, numpy {np.__version__}; "
+          f"median of {PASSES} passes over the 100 acceptance cases\n")
+    print("| layer | cost per case | mean evaluations |")
+    print("| --- | --- | --- |")
+    for name, fn, args in rows:
+        seconds, results = timed(fn, args)
+        if name == MONTE_CARLO:
+            print(f"| `{name}` | {1e3 * seconds:.1f} ms | |")
+            continue
+        evals = ""
+        if fn in (volume_edges, volume_sforza):
+            evals = f"{statistics.fmean(r.evaluations for r in results):.1f}"
+        label = name if len(args) == len(lengths) else f"{name} ({len(args)} cases)"
+        print(f"| `{label}` | {1e6 * seconds / len(args):.1f} µs | {evals} |")
+
+
+if __name__ == "__main__":
+    main()

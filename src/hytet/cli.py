@@ -292,8 +292,7 @@ def _require_tetrahedron(lengths: EdgeLengths):
     """Existence report of lengths that bound a tetrahedron; raises otherwise."""
     report = exists(lengths)
     if not report.exists:
-        raise ExistenceError("lengths do not bound a tetrahedron: "
-                             + ", ".join(report.failed), report=report)
+        raise ExistenceError.from_report(report)
     return report
 
 

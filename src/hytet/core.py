@@ -159,7 +159,8 @@ class JacobiResiduals:
         return max(r / s for r, s in zip(self.residuals, self.scales))
 
 
-def _det3(m) -> float:
+def det3(m) -> float:
+    """Determinant of a 3x3 matrix given as nested sequences."""
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
@@ -173,7 +174,7 @@ def _minor(m, i: int, j: int) -> list[list[float]]:
 def cofactor4(m, i: int, j: int) -> float:
     """Signed cofactor of a 4x4 matrix given as nested sequences."""
     sign = -1.0 if (i + j) % 2 else 1.0
-    return sign * _det3(_minor(m, i, j))
+    return sign * det3(_minor(m, i, j))
 
 
 def det4(m) -> float:
@@ -228,57 +229,40 @@ def cofactors(E: EdgeMatrix) -> CofactorSet:
     return CofactorSet(c=tuple(map(tuple, c)), delta=det_u + sum(map(sum, c_u)))
 
 
+# (i, j, k, l, sign, r, s, p, q) of each identity jacobi_residuals evaluates,
+# in its documented order; (r, s) and (p, q) complement (i, j) and (k, l)
+_JACOBI = tuple(
+    (i, j, k, l, (-1.0) ** (i + j + k + l) * (-1.0 if (i < j) != (k < l) else 1.0),
+     *opposite_pair(i, j), *opposite_pair(k, l))
+    for i, j, k, l in ((0, 1, 0, 1), (0, 2, 0, 2), (1, 2, 1, 2), (2, 3, 2, 3),
+                       (1, 3, 1, 3), (0, 3, 0, 3), (0, 2, 3, 1), (0, 3, 2, 1),
+                       (0, 3, 2, 3), (0, 2, 3, 0), (0, 2, 3, 2), (1, 2, 3, 1),
+                       (1, 3, 2, 3), (1, 2, 3, 2)))
+
+
 def jacobi_residuals(E: EdgeMatrix, C: CofactorSet) -> JacobiResiduals:
     """Evaluate the fourteen cofactor-determinant identities.
 
-    Writing a_ij = E[i][j] (so a_ij = cosh lij) and sh2_ij = a_ij^2 - 1,
-    the identities are, in order:
+    Jacobi's complementary-minor rule ties a 2x2 minor of the cofactors to
+    the complementary 2x2 minor of E = (a_ij):
 
-        c11 c22 - c12^2 = -delta sh2_34      c11 c33 - c13^2 = -delta sh2_24
-        c22 c33 - c23^2 = -delta sh2_14      c33 c44 - c34^2 = -delta sh2_12
-        c22 c44 - c24^2 = -delta sh2_13      c11 c44 - c14^2 = -delta sh2_23
-        c14 c23 - c12 c34 =  delta (a14 a23 - a12 a34)
-        c13 c24 - c12 c34 =  delta (a13 a24 - a12 a34)
-        c13 c44 - c14 c34 = -delta (a13 - a12 a23)
-        c13 c14 - c11 c34 =  delta (a34 - a23 a24)
-        c33 c14 - c34 c13 = -delta (a14 - a12 a24)
-        c23 c24 - c34 c22 =  delta (a34 - a13 a14)
-        c23 c44 - c24 c34 = -delta (a23 - a12 a13)
-        c33 c24 - c34 c23 = -delta (a24 - a12 a14)
+        c_ik c_jl - c_il c_jk = sigma delta (a_rp a_sq - a_rq a_sp),
 
-    Indices here are the 1-based vertex labels of the documentation.
+    where (r, s) and (p, q) are the increasing complements of (i, j) and
+    (k, l), and sigma = (-1)^(i+j+k+l), negated when exactly one of i < j
+    and k < l holds.  The fourteen (i, j, k, l), 0-based, in order:
+
+        (0,1,0,1) (0,2,0,2) (1,2,1,2) (2,3,2,3) (1,3,1,3) (0,3,0,3)
+        (0,2,3,1) (0,3,2,1) (0,3,2,3) (0,2,3,0) (0,2,3,2) (1,2,3,1)
+        (1,3,2,3) (1,2,3,2)
+
+    The first six read c_ii c_jj - c_ij^2 = -delta sinh^2 l_rs.
     """
     a = E.e
     c = C.c
-    d = C.delta
-
-    def sh2(i, j):
-        return a[i][j] * a[i][j] - 1.0
-
-    rows = (
-        (c[0][0] * c[1][1] - c[0][1] ** 2, -d * sh2(2, 3)),
-        (c[0][0] * c[2][2] - c[0][2] ** 2, -d * sh2(1, 3)),
-        (c[1][1] * c[2][2] - c[1][2] ** 2, -d * sh2(0, 3)),
-        (c[2][2] * c[3][3] - c[2][3] ** 2, -d * sh2(0, 1)),
-        (c[1][1] * c[3][3] - c[1][3] ** 2, -d * sh2(0, 2)),
-        (c[0][0] * c[3][3] - c[0][3] ** 2, -d * sh2(1, 2)),
-        (c[0][3] * c[1][2] - c[0][1] * c[2][3],
-         d * (a[0][3] * a[1][2] - a[0][1] * a[2][3])),
-        (c[0][2] * c[1][3] - c[0][1] * c[2][3],
-         d * (a[0][2] * a[1][3] - a[0][1] * a[2][3])),
-        (c[0][2] * c[3][3] - c[0][3] * c[2][3],
-         -d * (a[0][2] - a[0][1] * a[1][2])),
-        (c[0][2] * c[0][3] - c[0][0] * c[2][3],
-         d * (a[2][3] - a[1][2] * a[1][3])),
-        (c[2][2] * c[0][3] - c[2][3] * c[0][2],
-         -d * (a[0][3] - a[0][1] * a[1][3])),
-        (c[1][2] * c[1][3] - c[2][3] * c[1][1],
-         d * (a[2][3] - a[0][2] * a[0][3])),
-        (c[1][2] * c[3][3] - c[1][3] * c[2][3],
-         -d * (a[1][2] - a[0][1] * a[0][2])),
-        (c[2][2] * c[1][3] - c[2][3] * c[1][2],
-         -d * (a[1][3] - a[0][1] * a[0][3])),
-    )
+    rows = tuple((c[i][k] * c[j][l] - c[i][l] * c[j][k],
+                  sign * C.delta * (a[r][p] * a[s][q] - a[r][q] * a[s][p]))
+                 for i, j, k, l, sign, r, s, p, q in _JACOBI)
     residuals = tuple(abs(lhs - rhs) for lhs, rhs in rows)
     scales = tuple(max(1.0, abs(lhs)) for lhs, _ in rows)
     return JacobiResiduals(residuals=residuals, scales=scales)

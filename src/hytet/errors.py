@@ -38,6 +38,13 @@ class ExistenceError(NotATetrahedronError):
         super().__init__(message)
         self.report = report
 
+    @classmethod
+    def from_report(cls, report) -> "ExistenceError":
+        """The error for a report whose ``exists`` field is False, naming
+        each failed condition."""
+        return cls("no compact hyperbolic tetrahedron has these edge lengths: "
+                   + ", ".join(report.failed), report=report)
+
 
 class DegenerateError(NotATetrahedronError):
     """The configuration is flat (zero volume) where a solid one is needed.

@@ -33,23 +33,21 @@ check and not a tautology:
   Cl2(2x), :func:`hytet.volume.clausen`) supply the flat-limit and
   ideal-limit reference values used to sandwich the hyperbolic volume.
 
-numpy is imported only inside the functions that do array work.
+The embedding is a tuple of four row tuples, like core's matrices, and both
+Euclidean volumes come from core's 3x3 determinant.  numpy is imported only
+inside ``volume_monte_carlo``, which draws the samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .angles import DihedralAngles
 from .config import DEFAULT_TOL, MC_SAMPLES_MAX
-from .core import EDGE_PAIRS, EdgeLengths, EdgeMatrix, opposite_pair
+from .core import EDGE_PAIRS, EdgeLengths, EdgeMatrix, Matrix4, det3, opposite_pair
 from .errors import DegenerateError, DomainError, NotATetrahedronError
 from .volume import VolumeResult, clausen
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "VertexEmbedding",
@@ -66,20 +64,20 @@ __all__ = [
 _REDUCE_BLOCK = 4096
 
 
-def _mdot(u: np.ndarray, v: np.ndarray) -> float:
-    return float(-u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3])
+def _mdot(u, v) -> float:
+    return -u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
 @dataclass(frozen=True, eq=False)
 class VertexEmbedding:
     """Four hyperboloid points realizing an edge matrix.
 
-    ``vertices`` has one Minkowski 4-vector per row, first coordinate
+    ``vertices`` holds one Minkowski 4-vector per row tuple, first coordinate
     positive, <vi, vi> = -1 and <vi, vj> = -cosh(lij).  ``gram_resid`` is
     the largest deviation of those inner products from their targets.
     """
 
-    vertices: np.ndarray
+    vertices: Matrix4
     gram_resid: float
 
     def length(self, i: int, j: int) -> float:
@@ -115,12 +113,7 @@ def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:
     refuses with the achieved rank; a negative pivot beyond tolerance means
     the matrix is not realizable on the hyperboloid at all.
     """
-    import numpy as np
-
     a = E.e
-    v = np.zeros((4, 4))
-    v[0] = (1.0, 0.0, 0.0, 0.0)
-
     scale = max(map(max, a))
 
     def pivot(value: float, rank: int) -> float:
@@ -136,18 +129,16 @@ def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:
         return math.sqrt(value)
 
     sh12 = pivot(a[0][1] ** 2 - 1.0, 1)
-    v[1] = (a[0][1], sh12, 0.0, 0.0)
 
     p = a[0][2]
     q = (a[0][1] * p - a[1][2]) / sh12
     r = pivot(p * p - q * q - 1.0, 2)
-    v[2] = (p, q, r, 0.0)
 
     s = a[0][3]
     u = (a[0][1] * s - a[1][3]) / sh12
     w = (p * s - q * u - a[2][3]) / r
     z = pivot(s * s - u * u - w * w - 1.0, 3)
-    v[3] = (s, u, w, z)
+    v = ((1.0, 0.0, 0.0, 0.0), (a[0][1], sh12, 0.0, 0.0), (p, q, r, 0.0), (s, u, w, z))
 
     resid = 0.0
     for i in range(4):
@@ -167,18 +158,15 @@ def dihedral_angles_geometric(emb: VertexEmbedding) -> DihedralAngles:
     Never consults cofactors, so it is a genuinely independent check of
     the algebraic angle route.
     """
-    import numpy as np
-
-    lm = np.array([[emb.length(i, j) if i != j else 0.0 for j in range(4)]
-                   for i in range(4)])
-    ch = np.cosh(lm)
-    sh = np.sinh(lm)
+    lm = [[emb.length(i, j) if i != j else 0.0 for j in range(4)] for i in range(4)]
+    ch = [[math.cosh(x) for x in row] for row in lm]
+    sh = [[math.sinh(x) for x in row] for row in lm]
 
     def face_angle(x: int, v: int, y: int) -> float:
-        denom = sh[v, x] * sh[v, y]
+        denom = sh[v][x] * sh[v][y]
         if denom <= DEFAULT_TOL.pivot:
             raise DegenerateError("coinciding vertices in the embedding")
-        c = (ch[v, x] * ch[v, y] - ch[x, y]) / denom
+        c = (ch[v][x] * ch[v][y] - ch[x][y]) / denom
         return math.acos(min(1.0, max(-1.0, c)))
 
     values = {}
@@ -213,9 +201,9 @@ def volume_monte_carlo(
     """
     import numpy as np
 
-    v = emb.vertices
-    k = v[:, 1:] / v[:, :1]
-    vol_eucl = abs(float(np.linalg.det(k[1:] - k[0]))) / 6.0
+    k = [[x / row[0] for x in row[1:]] for row in emb.vertices]
+    vol_eucl = abs(det3([[x - x1 for x, x1 in zip(row, k[0])] for row in k[1:]])) / 6.0
+    v = np.array(emb.vertices)
     x0 = v[:, 0]
     # Minkowski products in signature (-, +, +, +)
     m = -(v @ np.diag([-1.0, 1.0, 1.0, 1.0]) @ v.T) / np.outer(x0, x0)
@@ -256,19 +244,17 @@ def volume_monte_carlo(
 
 
 def euclidean_volume_cm(lengths: EdgeLengths) -> float:
-    """Euclidean tetrahedron volume from the squared-distance determinant.
+    """Euclidean tetrahedron volume from the squared distances.
 
-    The 5x5 bordered determinant of squared pairwise distances equals
-    288 V^2 for a Euclidean tetrahedron; a negative value (beyond rounding)
-    means the lengths are not Euclidean-realizable.
+    The edge vectors leaving vertex 1 have the Gram matrix
+    G_ij = (d_1i^2 + d_1j^2 - d_ij^2) / 2, and the Cayley-Menger determinant
+    is 288 V^2 = 8 det G = det 2G, so V = sqrt(det G) / 6.  A negative
+    determinant (beyond rounding) means the lengths are not
+    Euclidean-realizable.
     """
-    import numpy as np
-
     lm = lengths.length_matrix()
-    m = np.ones((5, 5))
-    m[0, 0] = 0.0
-    m[1:, 1:] = np.square(lm)
-    cm = float(np.linalg.det(m))
+    d2 = [[x * x for x in row] for row in lm]
+    cm = det3([[d2[0][i] + d2[0][j] - d2[i][j] for j in range(1, 4)] for i in range(1, 4)])
     scale = max(map(max, lm)) ** 6 + 1.0
     if cm < 0.0:
         if cm < -DEFAULT_TOL.sqrt_clamp * scale:

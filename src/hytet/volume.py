@@ -296,11 +296,7 @@ def _edge_integrand(lengths: EdgeLengths | ExistenceReport):
     """
     report = lengths if isinstance(lengths, ExistenceReport) else exists(lengths)
     if not report.exists:
-        raise ExistenceError(
-            "no compact hyperbolic tetrahedron has these edge lengths: "
-            + ", ".join(report.failed),
-            report=report,
-        )
+        raise ExistenceError.from_report(report)
     return report, _EdgeIntegrand(report.lengths, report.bounds)
 
 

@@ -525,12 +525,30 @@ class TestOneExistenceTest:
         assert code == (0 if edges == ONES else 2)
         assert len(calls) == 1
 
+    def test_every_refusal_prints_the_library_message(self):
+        invalid = "l12=3,l13=1,l14=1,l23=1,l24=1,l34=1"
+        with pytest.raises(hytet.ExistenceError) as library:
+            hytet.volume_edges(hytet.EdgeLengths(3, 1, 1, 1, 1, 1))
+        for command in (["angles"], ["volume"], ["volume", "--validate"],
+                        ["validate"], ["sweep"]):
+            code, _, err = invoke([*command, "--edges", invalid])
+            assert (code, err) == (2, f"hytet: not a tetrahedron: {library.value}\n")
+
 
 class TestImportCost:
+    @staticmethod
+    def fresh_process(script: str) -> str:
+        src = str(Path(hytet.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
     def test_scalar_commands_do_not_load_numpy(self):
-        # numpy serves only the oracles: a fresh process that imports the
+        # numpy serves only Monte Carlo: a fresh process that imports the
         # CLI and answers check, angles, volume and sweep never loads it
-        script = textwrap.dedent(f"""
+        out = self.fresh_process(f"""
             import io, sys
             from hytet.cli import run
             after_import = "numpy" in sys.modules
@@ -538,8 +556,18 @@ class TestImportCost:
                      for command in ("check", "angles", "volume", "sweep")]
             print(after_import, codes, "numpy" in sys.modules)
         """)
-        src = str(Path(hytet.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.stdout.strip() == "False [0, 0, 0, 0] False", proc.stderr
+        assert out == "False [0, 0, 0, 0] False"
+
+    def test_oracle_geometry_does_not_load_numpy(self):
+        out = self.fresh_process("""
+            import math, sys
+            import hytet
+            lengths = hytet.EdgeLengths(1, 1, 1, 1, 1, 1)
+            emb = hytet.embed_vertices(hytet.edge_matrix_from_lengths(lengths))
+            hytet.dihedral_angles_geometric(emb)
+            hytet.euclidean_volume_cm(lengths)
+            hytet.volume_regular(1.0)
+            hytet.lobachevsky(math.pi / 3.0)
+            print("numpy" in sys.modules)
+        """)
+        assert out == "False"

@@ -30,7 +30,7 @@ MINK = np.diag([-1.0, 1.0, 1.0, 1.0])
 def normals_route_angles(emb):
     """Fourth, test-only angle route: project the far vertices onto the
     orthogonal complement of each edge plane and measure the angle there."""
-    v = emb.vertices
+    v = np.array(emb.vertices)
     out = {}
     for i in range(4):
         for j in range(i + 1, 4):
@@ -61,6 +61,13 @@ class TestEmbedding:
                     target, abs=1e-12
                 )
         assert emb.gram_resid < 1e-12
+
+    def test_vertices_are_four_row_tuples(self):
+        emb = embed_vertices(edge_matrix_from_lengths(EdgeLengths(1, 1, 1, 1, 1, 1)))
+        assert type(emb.vertices) is tuple and len(emb.vertices) == 4
+        for row in emb.vertices:
+            assert type(row) is tuple and len(row) == 4
+            assert all(type(x) is float for x in row)
 
     def test_degenerate_fold_refused_with_rank(self):
         E = edge_matrix_from_lengths(EdgeLengths(1, 1, 1, 1, 1, 0))
@@ -208,7 +215,7 @@ class TestMonteCarlo:
         n = 200_000
         emb = embed_vertices(edge_matrix_from_lengths(EdgeLengths(*[a] * 6)))
         mc = volume_monte_carlo(emb, MonteCarloConfig(seed=1, samples=n))
-        v = emb.vertices
+        v = np.array(emb.vertices)
         m = -(v @ MINK @ v.T) / np.outer(v[:, 0], v[:, 0])
         w = np.log1p(-np.random.Generator(np.random.Philox(key=1)).random((n, 4)))
         t = w.sum(axis=1) ** 2 / np.einsum("ni,ij,nj->n", w, m, w)
