@@ -52,4 +52,4 @@ ANGLE_GAP_LIMIT = 1e-9
 ROUTE_GAP_LIMIT = 1e-6
 MC_Z_LIMIT = 4.0
 SCHLAFLI_LIMIT = 1e-8
-MC_SAMPLES_MAX = 10**8  # about 6 s of sampling at 57 ms per 10^6 (scripts/layer_times.py)
+MC_SAMPLES_MAX = 10**8  # about 5 s of sampling at 53 ms per 10^6 (scripts/layer_times.py)

@@ -24,10 +24,10 @@ check and not a tautology:
   1 - |x|^2 = w^T M w / s^2, where M_ij = 1 - k_i . k_j =
   -<v_i, v_j> / (x0_i x0_j) = cosh(l_ij) / (x0_i x0_j) comes from the
   embedding's own inner products; every entry is positive, so the form has
-  no cancellation.  Sample i always takes outputs 4i..4i+3 of numpy's
-  PCG64 stream seeded with the seed (where ``PCG64(seed).advance(4 * i)``
-  starts), and samples are drawn and summed in fixed 4096-sample blocks, so
-  the estimate depends only on (seed, samples).
+  no cancellation.  Sampling is counter-based: sample i always consumes
+  block i of a Philox stream keyed by the seed, and samples are drawn and
+  summed in fixed 4096-sample blocks, so the estimate depends only on
+  (seed, samples).
 
 * ``euclidean_volume_cm`` and ``lobachevsky`` (half the Clausen function
   Cl2(2x), :func:`hytet.volume.clausen`) supply the flat-limit and
@@ -41,6 +41,7 @@ inside ``volume_monte_carlo``, which draws the samples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .angles import DihedralAngles
@@ -90,7 +91,7 @@ class MonteCarloConfig:
     """Sampling parameters for the Klein-model volume estimator.
 
     Identical (seed, samples) give bit-identical results.  The seed is an
-    int in [0, 2**64), as on the command line (not a bool).  Samples run
+    integer in [0, 2**64), as on the command line (not a bool).  Samples run
     from 2 (one sample has no spread: its standard error of 0 would pass
     any check) to ``MC_SAMPLES_MAX``, which bounds the run time.
     """
@@ -99,9 +100,9 @@ class MonteCarloConfig:
     samples: int
 
     def __post_init__(self):
-        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                or not 0 <= self.seed < 2 ** 64):
-            raise DomainError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
+        if (isinstance(self.seed, bool) or not hasattr(self.seed, "__index__")
+                or not 0 <= operator.index(self.seed) < 2 ** 64):
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not 2 <= self.samples <= MC_SAMPLES_MAX:
             raise DomainError(
                 f"samples must be in [2, {MC_SAMPLES_MAX}], got {self.samples!r}")
@@ -193,9 +194,9 @@ def volume_monte_carlo(
     """Monte Carlo volume in the Klein model.
 
     Uniform points in the Euclidean image tetrahedron are drawn as four
-    exponential weights w per sample (sample i takes PCG64 outputs
-    4i..4i+3), normalized by s = sum(w).  With Klein vertices k_i = X_i / x0_i
-    the point's density is (1 - |x|^2)^(-2) = (s^2 / w^T M w)^2, where
+    exponential weights w per sample (one Philox block of four uniforms),
+    normalized by s = sum(w).  With Klein vertices k_i = X_i / x0_i the
+    point's density is (1 - |x|^2)^(-2) = (s^2 / w^T M w)^2, where
     M_ij = 1 - k_i . k_j = -<v_i, v_j> / (x0_i x0_j) is built once from the
     embedding's Minkowski inner products.  M is entrywise positive, so
     w^T M w sums positive terms and loses no digits near the ideal
@@ -216,18 +217,18 @@ def volume_monte_carlo(
     n = cfg.samples
     block_sums: list[float] = []
     dev_sum = dev_sumsq = 0.0
-    # drawn in order, sample i takes PCG64 outputs 4i..4i+3; blocks reuse buffers
-    gen = np.random.Generator(np.random.PCG64(cfg.seed))
-    w_buf, wm_buf = np.empty((2, _REDUCE_BLOCK, 4))
+    # one generator drawn in order gives sample i Philox block i (four doubles)
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+    w_buf, wm_buf = np.empty((2, _REDUCE_BLOCK, 4))  # reused: no allocation per block
     s_buf, q_buf = np.empty((2, _REDUCE_BLOCK))
     for start in range(0, n, _REDUCE_BLOCK):
         count = min(_REDUCE_BLOCK, n - start)
         w, wm, s, q = w_buf[:count], wm_buf[:count], s_buf[:count], q_buf[:count]
-        # log1p(-u) is minus the exponential weight; the sign cancels in s^2, w^T M w
+        # w = log1p(-u) is minus the exponential weights; the sign cancels below
         np.log1p(np.negative(gen.random(out=w), out=w), out=w)
         np.matmul(w, ones, out=s)
-        np.matmul(np.multiply(np.matmul(w, m, out=wm), w, out=wm), ones, out=q)
-        density = np.square(np.divide(np.square(s, out=s), q, out=s), out=s)
+        np.matmul(np.multiply(np.matmul(w, m, out=wm), w, out=wm), ones, out=q)  # w^T M w
+        density = np.square(np.divide(np.square(s, out=s), q, out=s), out=s)  # (s^2/q)^2
         block_sums.append(float(np.sum(density)))
         # spread about the first block's mean, so a tiny spread does not cancel
         shift = block_sums[0] / min(_REDUCE_BLOCK, n)
