@@ -5,8 +5,9 @@ acceptance cases (``sample_lengths`` drawn from the acceptance seed) and on
 a fixed set of edge and error cases, all passed through ``--edges``.  Two
 checkouts that print the same digest answer every request byte for byte
 alike, so a change that must not alter the output can be checked by running
-this script on both sides.  The ``HYTET_*`` environment variables are
-ignored, so the digest depends on the code and the platform only.
+this script on both sides.  The checkout's own ``src`` is the one
+imported.  The ``HYTET_*`` environment variables are ignored, so the
+digest depends on the code and the platform only.
 
 Usage: python scripts/cli_digest.py
 """
@@ -14,12 +15,16 @@ Usage: python scripts/cli_digest.py
 import hashlib
 import io
 import os
+import sys
 from collections import Counter
+from pathlib import Path
 
-import numpy as np
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hytet import EDGE_KEYS, sample_lengths
-from hytet.cli import run
+import numpy as np  # noqa: E402
+
+from hytet import EDGE_KEYS, sample_lengths  # noqa: E402
+from hytet.cli import run  # noqa: E402
 
 ACCEPTANCE_SEED = 20240817
 SCALENE = (2.965137128963416, 1.3027372332455953, 3.620365722713066,

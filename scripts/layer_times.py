@@ -13,6 +13,9 @@ layer alone.  The volume routes add their mean integrand evaluations.
 - ``lobachevsky`` takes each case's angle th12.
 - Monte Carlo draws 10,000 samples per case (seed: the case's index), so
   one pass draws 10^6 samples and its row is the time of the whole pass.
+- The ``cli.run`` rows send one ``check``, ``angles`` or ``volume`` request
+  per case through ``hytet.cli.run`` (the lengths as ``--edges``, output to
+  a discarded buffer): the whole front end, argv to printed document.
 
 The checkout's own ``src`` is the one imported, so running this script
 from two checkouts compares them.  On a shared host timings drift over
@@ -21,6 +24,7 @@ time, so compare runs made one after the other.
 Usage: python scripts/layer_times.py
 """
 
+import io
 import platform
 import statistics
 import sys
@@ -33,6 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from hytet import (  # noqa: E402
+    EDGE_KEYS,
     MonteCarloConfig,
     cofactors,
     dihedral_angles,
@@ -49,6 +54,7 @@ from hytet import (  # noqa: E402
     volume_regular,
     volume_sforza,
 )
+from hytet.cli import run  # noqa: E402
 
 ACCEPTANCE_SEED = 20240817
 PASSES = 5
@@ -67,6 +73,11 @@ def timed(fn, args) -> tuple[float, list]:
     return statistics.median(times), first
 
 
+def cli_request(argv: list[str]) -> int:
+    """Exit code of one in-process CLI request; its output is discarded."""
+    return run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+
+
 def main() -> None:
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     lengths = [sample_lengths(rng) for _ in range(100)]
@@ -75,6 +86,7 @@ def main() -> None:
     angles = [dihedral_angles(C) for C in cofs]
     reports = [exists(L) for L in lengths]
     embeddings = [embed_vertices(E) for E in matrices]
+    edges = [",".join(f"{k}={v!r}" for k, v in zip(EDGE_KEYS, L.as_tuple())) for L in lengths]
     steps = [(r, 1e-5 * min(1.0, L.l34)) for r, L in zip(reports, lengths)
              if L.l34 + 1e-5 * min(1.0, L.l34) < r.bounds.l2]
 
@@ -95,6 +107,8 @@ def main() -> None:
          [(emb, MonteCarloConfig(seed=k, samples=MC_SAMPLES))
           for k, emb in enumerate(embeddings)]),
         ("lobachevsky", lobachevsky, [(th.th12,) for th in angles]),
+        *((f"cli.run {command}", cli_request, [([command, "--edges", e],) for e in edges])
+          for command in ("check", "angles", "volume")),
     )
 
     print(f"python {platform.python_version()}, numpy {np.__version__}; "

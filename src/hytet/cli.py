@@ -14,12 +14,12 @@ Exit codes are a stable contract:
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .angles import dihedral_angles
 from .config import (ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_SAMPLES_MAX, MC_Z_LIMIT,
@@ -66,13 +66,6 @@ DEFAULT_SWEEP_SAMPLES = 33
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so run() owns exit codes."""
-
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _format_value(v) -> str:
@@ -179,9 +172,7 @@ def _lengths_from_document(doc: dict) -> EdgeLengths:
             values[key] = float(raw)
         except (TypeError, ValueError, OverflowError):
             raise _UsageError(f"edge {key} does not parse as a number: {raw!r}")
-        if not math.isfinite(values[key]) or values[key] < 0:
-            raise _UsageError(f"edge {key} must be finite and nonnegative, got {raw!r}")
-    return EdgeLengths(**values)
+    return EdgeLengths(**values)  # DomainError on a negative or non-finite length
 
 
 def _settings(args, doc: dict):
@@ -225,34 +216,19 @@ def _settings(args, doc: dict):
     return tol, mc_samples, seed
 
 
-def _echo(lengths: EdgeLengths) -> dict:
-    return {"edges": lengths.as_dict()}
-
-
 def _report_doc(command: str, report) -> dict:
     """Opening keys of the output document of a command that ran exists."""
-    return {"input": _echo(report.lengths), "command": command,
+    return {"input": {"edges": report.lengths.as_dict()}, "command": command,
             "existence": _existence_block(report)}
 
 
 def _existence_block(report) -> dict:
-    block = {
-        "exists": report.exists,
-        "degenerate": report.degenerate,
-        "tri_123_ok": report.tri_123_ok,
-        "tri_124_ok": report.tri_124_ok,
-        "l34_in_range": report.l34_in_range,
-        "failed": list(report.failed),
-        "slacks": dict(report.slacks),
-    }
+    block = {k: getattr(report, k)
+             for k in ("exists", "degenerate", "tri_123_ok", "tri_124_ok", "l34_in_range")}
+    block.update(failed=list(report.failed), slacks=dict(report.slacks))
     if report.bounds is not None:
-        block["bounds"] = {
-            "C": report.bounds.C,
-            "S": report.bounds.S,
-            "l1": report.bounds.l1,
-            "l2": report.bounds.l2,
-            "clamped_sqrt": report.bounds.clamped_sqrt,
-        }
+        block["bounds"] = {k: getattr(report.bounds, k)
+                           for k in ("C", "S", "l1", "l2", "clamped_sqrt")}
     return block
 
 
@@ -347,14 +323,12 @@ def _cmd_volume(lengths, args, out, err, tol, mc_samples, seed) -> int:
 
 
 def _cmd_sweep(lengths, args, out, err, tol, mc_samples, seed) -> int:
-    n = args.samples if args.samples is not None else DEFAULT_SWEEP_SAMPLES
-    profile = volume_profile(lengths, n, tol)
+    profile = volume_profile(lengths, args.samples, tol)
     _warn_unconverged(err, profile.converged, "a sweep segment's volume")
     rows = [dict(zip(("t", "dVdt", "V"), row)) for row in profile]
 
     if args.format == "json":
-        doc = {"input": _echo(lengths), "command": "sweep", "rows": rows}
-        _emit(doc, args, out)
+        _emit({"input": {"edges": lengths.as_dict()}, "command": "sweep", "rows": rows}, args, out)
     else:
         print("t,dVdt,V", file=out)
         for row in rows:
@@ -398,7 +372,7 @@ def _cmd_validate(lengths, args, out, err, tol, mc_samples, seed) -> int:
 
 
 def _emit(doc: dict, args, out) -> None:
-    if getattr(args, "format", "json") == "csv" and doc.get("command") != "sweep":
+    if args.format == "csv":
         # flat key,value listing for non-tabular commands
         print("key,value", file=out)
         for key, value in _flatten(doc):
@@ -422,55 +396,92 @@ def _flatten(obj, prefix=""):
             yield key, str(obj).lower() if isinstance(obj, bool) else str(obj)
 
 
+# command: (handler, description)
 _COMMANDS = {
-    "check": _cmd_check,
-    "angles": _cmd_angles,
-    "volume": _cmd_volume,
-    "sweep": _cmd_sweep,
-    "validate": _cmd_validate,
+    "check": (_cmd_check, "existence test and admissible interval for l34"),
+    "angles": (_cmd_angles, "all six dihedral angles"),
+    "volume": (_cmd_volume, "volume by the edge-length integral"),
+    "sweep": (_cmd_sweep, "table of (t, dV/dt, V) across the admissible interval"),
+    "validate": (_cmd_validate, "full property battery with independent oracles"),
 }
+# option: (attribute, value parser or None for a flag, help, the one command
+# that takes it or None); one table parses argv and writes the usage text
+_OPTIONS = {
+    "--edges": ("edges", str, "inline lengths: l12=..,l13=..,l14=..,l23=..,l24=..,l34=..", None),
+    "--tol": ("tol", float, f"quadrature tolerance (default {QUADRATURE_TOL:g}, env HYTET_TOL)",
+              None),
+    "--mc-samples": ("mc_samples", int, "Monte Carlo sample count (env HYTET_MC_SAMPLES)", None),
+    "--seed": ("seed", int, "Monte Carlo seed (env HYTET_SEED)", None),
+    "--format": ("format", str, "json or csv (default csv for sweep, json otherwise)", None),
+    "--validate": ("validate", None, "add Sforza and Monte Carlo cross-checks", "volume"),
+    "--samples": ("samples", int, f"grid size (default {DEFAULT_SWEEP_SAMPLES})", "sweep"),
+    "--help": ("help", None, "print this usage text and exit (also -h)", None),
+}
+_TABLES = {command: {name: spec for name, spec in _OPTIONS.items() if spec[3] in (None, command)}
+           for command in _COMMANDS}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="hytet",
-        description="Compact hyperbolic tetrahedra from edge lengths: "
-                    "existence, dihedral angles, and volume.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check", "existence test and admissible interval for l34"),
-        ("angles", "all six dihedral angles"),
-        ("volume", "volume by the edge-length integral"),
-        ("sweep", "table of (t, dV/dt, V) across the admissible interval"),
-        ("validate", "full property battery with independent oracles"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", nargs="?",
-                       help="JSON input document path, or - for stdin")
-        p.add_argument("--edges", help="inline lengths: l12=..,l13=..,l14=..,"
-                                       "l23=..,l24=..,l34=..")
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"quadrature tolerance (default {QUADRATURE_TOL:g}, "
-                            "env HYTET_TOL)")
-        p.add_argument("--mc-samples", type=int, default=None, dest="mc_samples",
-                       help="Monte Carlo sample count (env HYTET_MC_SAMPLES)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="Monte Carlo seed (env HYTET_SEED)")
-        p.add_argument("--format", choices=("json", "csv"),
-                       default="csv" if name == "sweep" else "json",
-                       help="output format")
-        if name == "volume":
-            p.add_argument("--validate", action="store_true",
-                           help="add Sforza and Monte Carlo cross-checks")
-        if name == "sweep":
-            p.add_argument("--samples", type=int, default=None,
-                           help=f"grid size (default {DEFAULT_SWEEP_SAMPLES})")
-    return parser
+def _option(token: str, table) -> str:
+    """The one option name in table that token abbreviates; -h is --help."""
+    names = [name for name in table if name.startswith(token)] if token[:2] == "--" else []
+    if len(names) != 1 and token != "-h":
+        raise _UsageError(f"ambiguous option {token}: {' or '.join(names)}" if names
+                          else f"unrecognized option {token}")
+    return names[0] if names else "--help"
 
 
-# built once per process: argparse keeps no state between parse_args calls
-_PARSER = _build_parser()
+def _help(command) -> str:
+    """Usage text of one command, or of hytet itself when command is None."""
+    rows = ([(name, text) for name, (_, text) in _COMMANDS.items()] if command is None else
+            [("input", "JSON input document path, or - for stdin")]
+            + [(name if parse is None else f"{name} {attr.upper()}", text)
+               for name, (attr, parse, text, _) in _TABLES[command].items()])
+    head = (f"{command} [options] [input]\n\n{_COMMANDS[command][1]}" if command else
+            "COMMAND [options] [input]\n\nCompact hyperbolic tetrahedra from edge lengths: "
+            "existence, dihedral angles, and volume; 'hytet COMMAND -h' lists the options.")
+    return f"usage: hytet {head}\n\n" + "\n".join(f"  {a:<24}{b}" for a, b in rows)
+
+
+def _parse_args(argv: list[str], out):
+    """The request's command, input (a path, - for stdin, or None) and one
+    attribute per option.  `--name value` and `--name=value` both set an
+    option, the last one wins, and `--` ends the options.  On -h or --help
+    the usage text goes to out and the result is None."""
+    command = argv[0] if argv else ""
+    if command not in _COMMANDS:
+        if command[:1] != "-":
+            raise _UsageError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
+        _option(command, ("--help",))
+        print(_help(None), file=out)
+        return None
+    table, inputs, tokens = _TABLES[command], [], iter(argv[1:])
+    args = SimpleNamespace(command=command, edges=None, tol=None, mc_samples=None, seed=None,
+                           format="csv" if command == "sweep" else "json", validate=False,
+                           samples=DEFAULT_SWEEP_SAMPLES)
+    for token in tokens:
+        if token == "--":
+            inputs += tokens  # every later token, dashes or not
+        elif token[:1] != "-" or token == "-":
+            inputs.append(token)
+        else:
+            name, eq, value = token.partition("=")
+            attr, parse, _, _ = table[name if name in table else _option(name, table)]
+            if parse is None and eq:
+                raise _UsageError(f"{name} takes no value")
+            if attr == "help":
+                print(_help(command), file=out)
+                return None
+            try:
+                value = next(tokens) if parse is not None and not eq else value
+                setattr(args, attr, True if parse is None else parse(value))
+            except (StopIteration, ValueError):
+                raise _UsageError(f"bad or missing value for {name}: {value!r}")
+    if args.format not in ("json", "csv"):
+        raise _UsageError(f"--format takes json or csv, not {args.format!r}")
+    if len(inputs) > 1:
+        raise _UsageError("give at most one input document")
+    args.input = inputs[0] if inputs else None
+    return args
 
 
 def run(argv: list[str], stdout=None, stderr=None) -> int:
@@ -478,22 +489,21 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv, out)
+        if args is None:
+            return EXIT_OK
         doc = _load_document(args)
         lengths = _lengths_from_document(doc)
         tol, mc_samples, seed = _settings(args, doc)
-        return _COMMANDS[args.command](lengths, args, out, err, tol, mc_samples, seed)
+        return _COMMANDS[args.command][0](lengths, args, out, err, tol, mc_samples, seed)
     except (_UsageError, DomainError) as e:
         print(f"hytet: input error: {e}", file=err)
         return EXIT_USAGE
-    except ExistenceError as e:
-        print(f"hytet: not a tetrahedron: {e}", file=err)
-        if e.report is not None:
-            doc = {"command": "error", "existence": _existence_block(e.report)}
-            print(_dump_json(doc), file=out)
-        return EXIT_NOT_A_TETRAHEDRON
     except NotATetrahedronError as e:
         print(f"hytet: not a tetrahedron: {e}", file=err)
+        if getattr(e, "report", None) is not None:  # an ExistenceError's report
+            doc = {"command": "error", "existence": _existence_block(e.report)}
+            print(_dump_json(doc), file=out)
         return EXIT_NOT_A_TETRAHEDRON
     except (NumericalError, OverflowError) as e:
         print(f"hytet: numerical failure: {e}", file=err)

@@ -170,6 +170,12 @@ class TestInput:
         )
         assert code == 64
 
+    @pytest.mark.parametrize("raw", ["-1", "-0.5", "nan", "inf"])
+    def test_negative_or_non_finite_edge_is_usage_error(self, raw):
+        code, out, err = invoke(["check", "--edges", ONES.replace("l12=1", f"l12={raw}")])
+        assert (code, out) == (64, "")
+        assert err.startswith("hytet: input error: edge") and "l12" in err
+
     def test_unknown_subcommand(self):
         code, _, _ = invoke(["frobnicate"])
         assert code == 64
@@ -474,8 +480,81 @@ class TestQuadratureWarning:
         assert capped == out.replace('"converged": true', '"converged": false')
 
 
+class TestArgv:
+    """The argv contract: `--name value` or `--name=value`, the last of a
+    repeated option wins, a unique prefix names an option, `--` ends the
+    options, and every other misuse is a usage error."""
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("check", "--edges", ONES),
+        ("validate", "--tol", "1e-3"),
+        ("validate", "--mc-samples", "3000"),
+        ("validate", "--seed", "7"),
+        ("angles", "--format", "csv"),
+        ("sweep", "--samples", "5"),
+    ])
+    def test_both_option_forms_agree(self, command, option, value):
+        rest = [] if option == "--edges" else ["--edges", ONES]
+        if command == "validate" and option != "--mc-samples":
+            rest += ["--mc-samples", "2000"]
+        spaced = invoke([command, option, value, *rest])
+        assert spaced[0] == 0
+        assert invoke([command, f"{option}={value}", *rest]) == spaced
+        if option != "--edges":  # the option took effect
+            assert invoke([command, *rest]) != spaced
+
+    def test_repeated_option_takes_the_last_value(self):
+        code, doc, _ = invoke_json(["volume", "--validate", "--seed", "3", "--seed=7",
+                                    "--mc-samples", "2000", "--format", "csv",
+                                    "--format", "json", "--edges", "l12=3", "--edges", ONES])
+        assert code == 0
+        assert doc["volume"]["monte_carlo"]["diagnostics"]["seed"] == 7
+
+    def test_unique_prefix_abbreviates_an_option(self):
+        full = invoke(["validate", "--mc-samples", "2000", "--edges", ONES])
+        assert full[0] == 0
+        assert invoke(["validate", "--mc-s", "2000", "--edges", ONES]) == full
+        assert invoke(["validate", "--mc-s=2000", "--ed", ONES]) == full
+
+    def test_double_dash_ends_the_options(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "--doc.json").write_text(json.dumps({"edges": {k: 1 for k in hytet.EDGE_KEYS}}))
+        assert invoke(["check", "--", "--doc.json"]) == invoke(["check", "--edges", ONES])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--s", "3", "--edges", ONES],              # --samples or --seed
+        ["check", "--frobnicate", "--edges", ONES],
+        ["check", "--edges"],
+        ["volume", "--seed", "1.5", "--edges", ONES],
+        ["volume", "--tol", "x", "--edges", ONES],
+        ["check", "--format", "xml", "--edges", ONES],
+        ["check", "--validate", "--edges", ONES],
+        ["volume", "--samples", "3", "--edges", ONES],
+        ["volume", "--validate=yes", "--edges", ONES],
+        ["check", "a.json", "b.json"],
+        [],
+    ], ids=lambda argv: " ".join(argv).replace(ONES, "ONES") or "no-command")
+    def test_misuse_is_a_usage_error(self, argv):
+        code, out, err = invoke(argv)
+        assert (code, out) == (64, "")
+        assert err.startswith("hytet: input error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["check", "-h"], ["volume", "--help"],
+        ["sweep", "--edges", ONES, "--he"],
+    ], ids=" ".join)
+    def test_help_prints_usage_and_returns_0(self, argv):
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: hytet")
+        if argv[0] == "volume":
+            assert "--validate" in out and "--samples" not in out
+        elif len(argv) == 1:
+            assert all(command in out for command in hytet.cli._COMMANDS)
+
+
 class TestRunState:
-    """The parser is built once per process; successive runs share no state."""
+    """Successive runs share no state: each request parses its own argv."""
 
     def test_validate_flag_does_not_carry_over(self):
         code, doc, _ = invoke_json(
@@ -557,6 +636,17 @@ class TestImportCost:
             print(after_import, codes, "numpy" in sys.modules)
         """)
         assert out == "False [0, 0, 0, 0] False"
+
+    def test_cli_does_not_load_argparse(self):
+        out = self.fresh_process(f"""
+            import io, sys
+            from hytet.cli import run
+            after_import = "argparse" in sys.modules
+            codes = [run([command, "--edges", {ONES!r}], stdout=io.StringIO())
+                     for command in ("check", "angles", "volume")]
+            print(after_import, codes, "argparse" in sys.modules)
+        """)
+        assert out == "False [0, 0, 0] False"
 
     def test_oracle_geometry_does_not_load_numpy(self):
         out = self.fresh_process("""
