@@ -9,7 +9,12 @@ this script on both sides.  The checkout's own ``src`` is the one
 imported.  The ``HYTET_*`` environment variables are ignored, so the
 digest depends on the code and the platform only.
 
-Usage: python scripts/cli_digest.py
+With ``--requests`` it also prints one line per request, ahead of its
+command's digest line: the command, the edges, the exit code and the first
+16 hex digits of the SHA-256 of the request's record.  ``diff`` of two checkouts' output
+then names the requests whose answers differ.
+
+Usage: python scripts/cli_digest.py [--requests]
 """
 
 import hashlib
@@ -80,6 +85,9 @@ def record(argv: list[str]) -> tuple[str, bytes]:
 
 
 def main() -> None:
+    per_request = sys.argv[1:] == ["--requests"]
+    if sys.argv[1:] and not per_request:
+        sys.exit("usage: python scripts/cli_digest.py [--requests]")
     for name in [k for k in os.environ if k.startswith("HYTET_")]:
         del os.environ[name]
     total = hashlib.sha256()
@@ -91,6 +99,8 @@ def main() -> None:
             digest.update(rec)
             total.update(rec)
             codes[code] += 1
+            if per_request:
+                print(" ".join(command), edges, code, hashlib.sha256(rec).hexdigest()[:16])
         print(f"{' '.join(command):<44} {digest.hexdigest()[:16]}")
     print("exit codes:", ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())))
     print(f"requests: {sum(codes.values())}")

@@ -7,8 +7,7 @@ the one-angle logarithmic volume integral, a hyperboloid-model coordinate
 embedding, and Monte Carlo integration in the Klein ball.
 """
 
-from .angles import DihedralAngles, GramMatrix, dihedral_angles, gram_from_angles
-from .config import DEFAULT_TOL, Tolerances
+from .angles import DihedralAngles, dihedral_angles, gram_from_angles
 from .core import (
     EDGE_KEYS,
     CofactorSet,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CofactorSet",
-    "DEFAULT_TOL",
     "DegenerateError",
     "DihedralAngles",
     "DomainError",
@@ -70,7 +68,6 @@ __all__ = [
     "EdgeMatrix",
     "ExistenceError",
     "ExistenceReport",
-    "GramMatrix",
     "HytetError",
     "InconsistentAnglesError",
     "JacobiResiduals",
@@ -78,7 +75,6 @@ __all__ = [
     "MonteCarloConfig",
     "NotATetrahedronError",
     "NumericalError",
-    "Tolerances",
     "VertexEmbedding",
     "VolumeResult",
     "cofactors",

@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_TOL
+from .config import COS_CLAMP
 from .core import EDGE_PAIRS, CofactorSet, Matrix4, opposite_pair
 from .errors import DomainError, NotATetrahedronError, NumericalError
 
-__all__ = ["DihedralAngles", "GramMatrix", "dihedral_angles", "gram_from_angles"]
+__all__ = ["DihedralAngles", "dihedral_angles", "gram_from_angles"]
 
 ANGLE_KEYS = ("th12", "th13", "th14", "th23", "th24", "th34")
 
@@ -64,24 +64,13 @@ class DihedralAngles:
         return getattr(self, f"th{i + 1}{j + 1}")
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Gram matrix of the outward face normals, face i opposite vertex i.
-
-    Unit diagonal; faces i and j meet along the edge joining the other two
-    vertices, so entry (i, j) is -cos of the angle along that edge.
-    """
-
-    g: Matrix4
-
-
 def dihedral_angles(C: CofactorSet) -> DihedralAngles:
     """All six dihedral angles from a cofactor set.
 
     Requires every diagonal cofactor to be positive; a nonpositive one
     means the edge data does not describe a compact solid tetrahedron
     (flat folds drive two diagonal cofactors to zero).  A cosine beyond
-    [-1, 1] by more than ``cos_clamp`` raises NumericalError; within that
+    [-1, 1] by more than ``COS_CLAMP`` raises NumericalError; within that
     window it is clamped and the result flagged.
     """
     diag = C.diagonal
@@ -99,7 +88,7 @@ def dihedral_angles(C: CofactorSet) -> DihedralAngles:
         norm = math.sqrt(diag[i] * diag[j])
         cos_th = -C.entry(i, j) / norm
         # not <= also catches NaN; an infinite norm means the cofactors overflowed
-        if not abs(cos_th) <= 1.0 + DEFAULT_TOL.cos_clamp or norm == math.inf:
+        if not abs(cos_th) <= 1.0 + COS_CLAMP or norm == math.inf:
             raise NumericalError(f"cosine of the angle along edge {k + 1}-{l + 1} is {cos_th!r} "
                                  f"(cofactor norm {norm!r}), inconsistent beyond tolerance")
         if abs(cos_th) > 1.0:
@@ -109,11 +98,13 @@ def dihedral_angles(C: CofactorSet) -> DihedralAngles:
     return DihedralAngles(**values, clamped=clamped)
 
 
-def gram_from_angles(angles: DihedralAngles) -> GramMatrix:
-    """Face Gram matrix: entry (i, j) = -cos theta_kl, (k, l) = opposite_pair(i, j).
+def gram_from_angles(angles: DihedralAngles) -> Matrix4:
+    """Gram matrix of the outward face normals, face i opposite vertex i.
 
-    The 1-2 angle, for instance, sits in the (3, 4) slot (0-based (2, 3)).
-    Raises DomainError for an angle outside [0, pi].
+    Unit diagonal; entry (i, j) = -cos theta_kl, (k, l) = opposite_pair(i, j),
+    the edge that faces i and j share.  The 1-2 angle, for instance, sits in
+    the (3, 4) slot (0-based (2, 3)).  Raises DomainError for an angle
+    outside [0, pi].
     """
     g = [[1.0] * 4 for _ in range(4)]
     for (k, l), key in zip(EDGE_PAIRS, ANGLE_KEYS):
@@ -122,4 +113,4 @@ def gram_from_angles(angles: DihedralAngles) -> GramMatrix:
             raise DomainError(f"angle {key} = {th!r} outside [0, pi]")
         i, j = opposite_pair(k, l)
         g[i][j] = g[j][i] = -math.cos(th)
-    return GramMatrix(g=tuple(map(tuple, g)))
+    return tuple(map(tuple, g))

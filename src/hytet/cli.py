@@ -121,8 +121,23 @@ def _parse_inline_edges(text: str) -> dict:
         if "=" not in part:
             raise _UsageError(f"bad inline edge assignment {part!r}")
         key, _, value = part.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise _UsageError(f"edge {key} given more than once")
+        out[key] = value.strip()
     return out
+
+
+def _json_object(pairs: list) -> dict:
+    """A JSON object of the input document; an edge name given twice is
+    refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        for key in EDGE_KEYS:
+            if keys.count(key) > 1:
+                raise _UsageError(f"edge {key} given more than once")
+    return obj
 
 
 def _load_document(args) -> dict:
@@ -141,7 +156,7 @@ def _load_document(args) -> dict:
     except (OSError, UnicodeDecodeError) as e:
         raise _UsageError(f"cannot read input file: {e}")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as e:
         # JSONDecodeError, an integer past the digit limit, or too deep nesting
         raise _UsageError(f"input is not valid JSON: {e}")
@@ -175,45 +190,46 @@ def _lengths_from_document(doc: dict) -> EdgeLengths:
     return EdgeLengths(**values)  # DomainError on a negative or non-finite length
 
 
-def _settings(args, doc: dict):
-    """Resolve tolerance / sample / seed defaults: flags beat the input
-    document, which beats environment variables, which beat defaults."""
+# setting: (environment variable, default, type); a flag beats the input
+# document's config key of the setting's name, which beats the environment
+_SETTINGS = (("tol", "HYTET_TOL", QUADRATURE_TOL, float),
+             ("mc_samples", "HYTET_MC_SAMPLES", DEFAULT_MC_SAMPLES, int),
+             ("seed", "HYTET_SEED", DEFAULT_SEED, int))
+
+
+def _settings(args, doc: dict) -> None:
+    """Resolve the settings no flag gave onto args, each from the input
+    document, the environment or its default, in that order."""
     doc_cfg = doc.get("config", {})
     if not isinstance(doc_cfg, dict):
         raise _UsageError('input document "config" must be a JSON object')
-
-    def pick(flag_value, doc_key, env_key, default, cast):
-        if flag_value is not None:
-            return flag_value
-        if doc_key in doc_cfg:
-            source, raw = f"config {doc_key}", doc_cfg[doc_key]
+    for name, env_key, default, cast in _SETTINGS:
+        if getattr(args, name) is not None:
+            continue
+        if name in doc_cfg:
+            source, raw = f"config {name}", doc_cfg[name]
         elif env_key in os.environ:
             source, raw = f"environment {env_key}", os.environ[env_key]
         else:
-            return default
+            setattr(args, name, default)
+            continue
         try:
             # JSON true is no number, and a seed of 1.5 is not 1
             if isinstance(raw, bool) or (cast is int and isinstance(raw, float)
                                          and not raw.is_integer()):
                 raise ValueError(raw)
-            return cast(raw)
+            setattr(args, name, cast(raw))
         except (TypeError, ValueError, OverflowError):
             raise _UsageError(f"{source} does not parse")
-
-    tol = pick(args.tol, "tol", "HYTET_TOL", QUADRATURE_TOL, float)
-    mc_samples = pick(args.mc_samples, "mc_samples", "HYTET_MC_SAMPLES",
-                      DEFAULT_MC_SAMPLES, int)
-    seed = pick(args.seed, "seed", "HYTET_SEED", DEFAULT_SEED, int)
-    if not tol > 0:  # NaN too
+    if not args.tol > 0:  # NaN too
         raise _UsageError("tolerance must be positive")
-    if mc_samples < 2:
+    if args.mc_samples < 2:
         # the Monte Carlo standard error needs two samples
         raise _UsageError("mc-samples must be >= 2")
-    if mc_samples > MC_SAMPLES_MAX:
+    if args.mc_samples > MC_SAMPLES_MAX:
         raise _UsageError(f"mc-samples must be <= {MC_SAMPLES_MAX}")
-    if not 0 <= seed < 2 ** 64:
+    if not 0 <= args.seed < 2 ** 64:
         raise _UsageError("seed must fit in 64 unsigned bits")
-    return tol, mc_samples, seed
 
 
 def _report_doc(command: str, report) -> dict:
@@ -264,22 +280,16 @@ def _angles_block(C: CofactorSet) -> tuple[dict, object]:
     return {"angles": block, "diagnostics": diagnostics}, th
 
 
-def _require_tetrahedron(lengths: EdgeLengths):
-    """Existence report of lengths that bound a tetrahedron; raises otherwise."""
-    report = exists(lengths)
-    if not report.exists:
-        raise ExistenceError.from_report(report)
-    return report
-
-
-def _cmd_check(lengths, args, out, err, tol, mc_samples, seed) -> int:
+def _cmd_check(lengths, args, out, err) -> int:
     report = exists(lengths)
     _emit(_report_doc("check", report), args, out)
     return EXIT_OK if report.exists else EXIT_NOT_A_TETRAHEDRON
 
 
-def _cmd_angles(lengths, args, out, err, tol, mc_samples, seed) -> int:
-    report = _require_tetrahedron(lengths)
+def _cmd_angles(lengths, args, out, err) -> int:
+    report = exists(lengths)
+    if not report.exists:
+        raise ExistenceError.from_report(report)
     blocks, _ = _angles_block(cofactors(edge_matrix_from_lengths(lengths)))
     _emit({**_report_doc("angles", report), **blocks}, args, out)
     return EXIT_OK
@@ -289,41 +299,46 @@ def _check(value: float, limit: float, key: str = "value") -> dict:
     return {key: value, "limit": limit, "pass": value < limit}
 
 
-def _cross_routes(command: str, report, blocks, res, sf, emb, err, mc_samples, seed):
-    """Monte Carlo volume, the document `validate` and `volume --validate`
-    share before their verdicts, and the edge volume's gaps to the Sforza
-    volume and, in standard errors, to the Monte Carlo one.  Each caller
-    keeps its own order of the routes before it: where two fail, the first
-    one is reported."""
-    mc = volume_monte_carlo(emb, MonteCarloConfig(seed=seed, samples=mc_samples))
+def _battery(command: str, report, args, err):
+    """The cross-route battery `validate` and `volume --validate` share.
+
+    Runs each route once, in one order: the edge volume, E, the cofactors
+    and angles, the Sforza volume, the embedding, Monte Carlo; where two
+    fail, the first one is reported.  Returns the document with the three
+    volume blocks and the angles, the edge volume's gaps to the Sforza
+    volume and, in standard errors, to the Monte Carlo one, and the E, C,
+    angles and embedding it built.
+    """
+    res = volume_edges(report, args.tol)
+    E = edge_matrix_from_lengths(report.lengths)
+    C = cofactors(E)
+    blocks, th = _angles_block(C)
+    sf = volume_sforza(th, args.tol)
+    emb = embed_vertices(E)
+    mc = volume_monte_carlo(emb, MonteCarloConfig(seed=args.seed, samples=args.mc_samples))
     doc = _report_doc(command, report)
     doc["volume"] = {"edge_integral": _volume_block(res, err),
                      "sforza": _volume_block(sf, err), "monte_carlo": _volume_block(mc, err)}
     doc.update(blocks)
     z = abs(res.value - mc.value) / mc.error_estimate if mc.error_estimate else 0.0
-    return doc, abs(res.value - sf.value), z
+    return doc, abs(res.value - sf.value), z, E, C, th, emb
 
 
-def _cmd_volume(lengths, args, out, err, tol, mc_samples, seed) -> int:
+def _cmd_volume(lengths, args, out, err) -> int:
     report = exists(lengths)
-    res = volume_edges(report, tol)
     if args.validate:
-        E = edge_matrix_from_lengths(lengths)
-        blocks, th = _angles_block(cofactors(E))
-        sf = volume_sforza(th, tol)
-        doc, gap, z = _cross_routes("volume", report, blocks, res, sf,
-                                    embed_vertices(E), err, mc_samples, seed)
+        doc, gap, z, *_ = _battery("volume", report, args, err)
         doc["agreement"] = {"edge_vs_sforza": _check(gap, ROUTE_GAP_LIMIT, "gap"),
                             "monte_carlo_z": _check(z, MC_Z_LIMIT, "z")}
     else:
         doc = _report_doc("volume", report)
-        doc["volume"] = {"edge_integral": _volume_block(res, err)}
+        doc["volume"] = {"edge_integral": _volume_block(volume_edges(report, args.tol), err)}
     _emit(doc, args, out)
     return EXIT_OK
 
 
-def _cmd_sweep(lengths, args, out, err, tol, mc_samples, seed) -> int:
-    profile = volume_profile(lengths, args.samples, tol)
+def _cmd_sweep(lengths, args, out, err) -> int:
+    profile = volume_profile(lengths, args.samples, args.tol)
     _warn_unconverged(err, profile.converged, "a sweep segment's volume")
     rows = [dict(zip(("t", "dVdt", "V"), row)) for row in profile]
 
@@ -342,21 +357,13 @@ def _csv_number(v: float) -> str:
     return format(v, ".17g")
 
 
-def _cmd_validate(lengths, args, out, err, tol, mc_samples, seed) -> int:
-    report = _require_tetrahedron(lengths)
-    E = edge_matrix_from_lengths(lengths)
-    C = cofactors(E)
-    jac = jacobi_residuals(E, C).max_relative
-    blocks, th = _angles_block(C)
-    emb = embed_vertices(E)
+def _cmd_validate(lengths, args, out, err) -> int:
+    report = exists(lengths)
+    doc, route_gap, z, E, C, th, emb = _battery("validate", report, args, err)
     th_geo = dihedral_angles_geometric(emb)
     angle_gap = max(abs(a - b) for a, b in zip(th.as_tuple(), th_geo.as_tuple()))
-    res = volume_edges(report, tol)
-    sf = volume_sforza(th, tol)
-    doc, route_gap, z = _cross_routes("validate", report, blocks, res, sf, emb, err,
-                                      mc_samples, seed)
     checks = {
-        "jacobi_max_relative": _check(jac, JACOBI_LIMIT),
+        "jacobi_max_relative": _check(jacobi_residuals(E, C).max_relative, JACOBI_LIMIT),
         "angle_routes_max_gap": _check(angle_gap, ANGLE_GAP_LIMIT),
         "edge_vs_sforza": _check(route_gap, ROUTE_GAP_LIMIT),
         "monte_carlo_z": _check(z, MC_Z_LIMIT),
@@ -494,8 +501,8 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
             return EXIT_OK
         doc = _load_document(args)
         lengths = _lengths_from_document(doc)
-        tol, mc_samples, seed = _settings(args, doc)
-        return _COMMANDS[args.command][0](lengths, args, out, err, tol, mc_samples, seed)
+        _settings(args, doc)
+        return _COMMANDS[args.command][0](lengths, args, out, err)
     except (_UsageError, DomainError) as e:
         print(f"hytet: input error: {e}", file=err)
         return EXIT_USAGE

@@ -1,44 +1,27 @@
 """Centralized numerical tolerances and validation limits.
 
-All magic thresholds used across the package live in one frozen record so
-they can be audited in one place; every module reads ``DEFAULT_TOL``.
-Everything is double precision.  The edge route holds to edges of about
-100, past which its coefficients overflow.
+All magic thresholds used across the package are the module constants
+below, so they can be audited in one place; no function takes a per-call
+override of them.  Everything is double precision.  The edge route holds
+to edges of about 100, past which its coefficients overflow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Package-wide tolerance constants.
-
-    boundary
-        A signed slack within ``boundary * (1 + scale)`` of zero is treated
-        as sitting on a degenerate boundary rather than failing a strict
-        inequality; the fold bounds round such a slack's half-perimeter
-        excess up to zero.
-    sqrt_clamp
-        Square-root arguments that are provably nonnegative may come out
-        slightly negative in floating point; values down to ``-sqrt_clamp``
-        are clamped to zero, anything lower is an internal error.
-    cos_clamp
-        Cosines may exceed 1 in magnitude by at most this much before the
-        value is considered inconsistent rather than a rounding artifact.
-    pivot
-        Pivot threshold below which the hyperboloid factorization reports a
-        rank drop instead of extrapolating.
-    """
-
-    boundary: float = 1e-12
-    sqrt_clamp: float = 1e-10
-    cos_clamp: float = 1e-12
-    pivot: float = 1e-10
-
-
-DEFAULT_TOL = Tolerances()
+# A signed slack within BOUNDARY_TOL * (1 + scale) of zero is treated as
+# sitting on a degenerate boundary rather than failing a strict inequality;
+# the fold bounds round such a slack's half-perimeter excess up to zero.
+BOUNDARY_TOL = 1e-12
+# Square-root arguments that are provably nonnegative may come out slightly
+# negative in floating point; values down to -SQRT_CLAMP are clamped to
+# zero, anything lower is an internal error.
+SQRT_CLAMP = 1e-10
+# Cosines may exceed 1 in magnitude by at most this much before the value
+# is considered inconsistent rather than a rounding artifact.
+COS_CLAMP = 1e-12
+# Pivot threshold below which the hyperboloid factorization reports a rank
+# drop instead of extrapolating.
+PIVOT_TOL = 1e-10
 
 # The quadratures' accuracy target: the summed error estimate is at most
 # tol * max(1, |value|).  The tight one is for results that feed a finite

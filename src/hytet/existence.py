@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .config import DEFAULT_TOL
+from .config import BOUNDARY_TOL
 from .core import EdgeLengths
 from .errors import DomainError, NotATetrahedronError
 
@@ -98,7 +98,7 @@ class ExistenceReport:
 
 
 def _near_zero(slack: float, scale: float) -> bool:
-    return abs(slack) <= DEFAULT_TOL.boundary * (1.0 + abs(scale))
+    return abs(slack) <= BOUNDARY_TOL * (1.0 + abs(scale))
 
 
 def _faces(l12: float, l13: float, l14: float, l23: float,
@@ -187,7 +187,7 @@ def exists(lengths: EdgeLengths) -> ExistenceReport:
     nonexistent and degenerate.
     """
     slacks, failed, degenerate = _faces(*lengths.as_tuple()[:5])
-    hinge_ok = lengths.l12 > DEFAULT_TOL.boundary
+    hinge_ok = lengths.l12 > BOUNDARY_TOL
     bounds = None
     if hinge_ok and not failed:
         bounds = l34_bounds(*lengths.as_tuple()[:5])

@@ -45,7 +45,7 @@ import operator
 from dataclasses import dataclass
 
 from .angles import DihedralAngles
-from .config import DEFAULT_TOL, MC_SAMPLES_MAX
+from .config import MC_SAMPLES_MAX, PIVOT_TOL, SQRT_CLAMP
 from .core import EDGE_PAIRS, EdgeLengths, EdgeMatrix, Matrix4, det3, opposite_pair
 from .errors import DegenerateError, DomainError, NotATetrahedronError
 from .volume import VolumeResult, clausen
@@ -122,8 +122,8 @@ def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:
     scale = max(map(max, a))
 
     def pivot(value: float, rank: int) -> float:
-        if value <= DEFAULT_TOL.pivot * scale * scale:
-            if value < -DEFAULT_TOL.sqrt_clamp * scale * scale:
+        if value <= PIVOT_TOL * scale * scale:
+            if value < -SQRT_CLAMP * scale * scale:
                 raise NotATetrahedronError(
                     "edge matrix is not realizable: a hyperboloid pivot is "
                     f"negative ({value!r})"
@@ -169,7 +169,7 @@ def dihedral_angles_geometric(emb: VertexEmbedding) -> DihedralAngles:
 
     def face_angle(x: int, v: int, y: int) -> float:
         denom = sh[v][x] * sh[v][y]
-        if denom <= DEFAULT_TOL.pivot:
+        if denom <= PIVOT_TOL:
             raise DegenerateError("coinciding vertices in the embedding")
         c = (ch[v][x] * ch[v][y] - ch[x][y]) / denom
         return math.acos(min(1.0, max(-1.0, c)))
@@ -181,7 +181,7 @@ def dihedral_angles_geometric(emb: VertexEmbedding) -> DihedralAngles:
         side_ki = face_angle(k, j, i)
         side_li = face_angle(l, j, i)
         denom = math.sin(side_ki) * math.sin(side_li)
-        if denom <= DEFAULT_TOL.pivot:
+        if denom <= PIVOT_TOL:
             raise DegenerateError("flat vertex figure in the embedding")
         c = (math.cos(side_kl) - math.cos(side_ki) * math.cos(side_li)) / denom
         values[f"th{i + 1}{j + 1}"] = math.acos(min(1.0, max(-1.0, c)))
@@ -263,7 +263,7 @@ def euclidean_volume_cm(lengths: EdgeLengths) -> float:
     cm = det3([[d2[0][i] + d2[0][j] - d2[i][j] for j in range(1, 4)] for i in range(1, 4)])
     scale = max(map(max, lm)) ** 6 + 1.0
     if cm < 0.0:
-        if cm < -DEFAULT_TOL.sqrt_clamp * scale:
+        if cm < -SQRT_CLAMP * scale:
             raise DomainError(
                 f"lengths are not Euclidean-realizable (determinant {cm!r})"
             )

@@ -88,7 +88,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .angles import DihedralAngles, dihedral_angles, gram_from_angles
-from .config import DEFAULT_TOL, QUADRATURE_TOL, TIGHT_QUADRATURE_TOL
+from .config import BOUNDARY_TOL, QUADRATURE_TOL, TIGHT_QUADRATURE_TOL
 from .core import (EDGE_PAIRS, EdgeLengths, cofactor4, cofactors, det4,
                    edge_matrix_from_lengths)
 from .errors import (
@@ -454,7 +454,7 @@ def volume_sforza(angles: DihedralAngles, quad_tol: float = QUADRATURE_TOL) -> V
     """
     th34 = angles.th34
     # the 3-4 angle sits in the (1, 2) slot of the face Gram matrix
-    g = [list(row) for row in gram_from_angles(angles).g]
+    g = [list(row) for row in gram_from_angles(angles)]
 
     def gram_at(y: float) -> list:
         g[0][1] = g[1][0] = -y
@@ -463,7 +463,7 @@ def volume_sforza(angles: DihedralAngles, quad_tol: float = QUADRATURE_TOL) -> V
     y_start = math.cos(th34)
     d_start = det4(gram_at(y_start))
     if d_start >= 0.0:
-        if d_start <= DEFAULT_TOL.boundary * 16.0:
+        if d_start <= BOUNDARY_TOL * 16.0:
             # flat (zero-curvature) data: the integral is empty
             return VolumeResult(0.0, 0.0, 0, "sforza",
                                 {"t0": th34, "det_at_th34": d_start})

@@ -79,18 +79,18 @@ class TestDihedralAngles:
 class TestGramMatrix:
     def test_right_angles_give_identity(self):
         th = DihedralAngles(*([math.pi / 2] * 6))
-        assert np.allclose(gram_from_angles(th).g, np.eye(4), atol=1e-16)
+        assert np.allclose(gram_from_angles(th), np.eye(4), atol=1e-16)
 
     def test_euclidean_regular_angles_give_singular_gram(self):
         th = DihedralAngles(*([math.acos(1.0 / 3.0)] * 6))
-        G = gram_from_angles(th).g
+        G = gram_from_angles(th)
         assert np.allclose(G - np.eye(4), -(1 / 3) * (np.ones((4, 4)) - np.eye(4)))
         assert np.linalg.det(G) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_angle_entry(self):
         # faces 3 and 4 (opposite vertices 3 and 4) share edge 1-2
         th = DihedralAngles(0.0, *([math.pi / 2] * 5))
-        G = gram_from_angles(th).g
+        G = gram_from_angles(th)
         assert G[2][3] == pytest.approx(-1.0)
 
     def test_dual_cosine_rule_recovers_lengths(self, rng):
@@ -98,7 +98,7 @@ class TestGramMatrix:
         # cosh l_ij = c_ij / sqrt(c_ii c_jj)
         for _ in range(100):
             L = sample_lengths(rng)
-            G = gram_from_angles(angles_of(L)).g
+            G = gram_from_angles(angles_of(L))
             lengths = L.length_matrix()
             c = [[cofactor4(G, i, j) for j in range(4)] for i in range(4)]
             for i, j in EDGE_PAIRS:

@@ -11,7 +11,7 @@ def _public_functions():
 
 
 def test_no_public_function_takes_a_tolerance_override():
-    # every module reads the one DEFAULT_TOL record
+    # every module reads the one set of constants in hytet.config
     functions = _public_functions()
     assert functions
     takes_tol = [name for name, fn in functions

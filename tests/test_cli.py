@@ -176,6 +176,19 @@ class TestInput:
         assert (code, out) == (64, "")
         assert err.startswith("hytet: input error: edge") and "l12" in err
 
+    @pytest.mark.parametrize("form", ["inline", "document"])
+    def test_repeated_edge_is_usage_error(self, tmp_path, form):
+        # the first value used to be overwritten by the last, here l12 = 2,
+        # which fails the triangle test with exit 2
+        if form == "inline":
+            argv = ["check", "--edges", "l12=1,l12=2," + ONES[len("l12=1,"):]]
+        else:
+            path = tmp_path / "input.json"
+            path.write_text('{"edges": {"l12": 1, "l12": 2, "l13": 1, "l14": 1, '
+                            '"l23": 1, "l24": 1, "l34": 1}}')
+            argv = ["check", str(path)]
+        assert invoke(argv) == (64, "", "hytet: input error: edge l12 given more than once\n")
+
     def test_unknown_subcommand(self):
         code, _, _ = invoke(["frobnicate"])
         assert code == 64
@@ -612,6 +625,36 @@ class TestOneExistenceTest:
                         ["validate"], ["sweep"]):
             code, _, err = invoke([*command, "--edges", invalid])
             assert (code, err) == (2, f"hytet: not a tetrahedron: {library.value}\n")
+
+
+class TestOneBattery:
+    """`validate` and `volume --validate` run one battery: each shared route
+    once, in one order, so both refuse an input alike."""
+
+    ROUTES = ("exists", "volume_edges", "cofactors", "volume_sforza", "embed_vertices",
+              "volume_monte_carlo")
+
+    @pytest.mark.parametrize("command", [["validate"], ["volume", "--validate"]], ids=" ".join)
+    def test_each_route_runs_once(self, monkeypatch, command):
+        calls = []
+        for name in self.ROUTES:  # counted where the CLI looks each one up
+            def counted(*args, name=name, fn=getattr(hytet.cli, name)):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(hytet.cli, name, counted)
+        code, _, _ = invoke([*command, "--mc-samples", "2000", "--edges", ONES])
+        assert code == 0
+        assert sorted(calls) == sorted(self.ROUTES)
+
+    def test_both_commands_report_the_first_failing_route(self):
+        # at regular a = 30 Sforza's integrand and the embedding both fail;
+        # Sforza comes first in the battery's order
+        edges = ",".join(f"{k}=30" for k in hytet.EDGE_KEYS)
+        validate = invoke(["validate", "--mc-samples", "2000", "--edges", edges])
+        volume = invoke(["volume", "--validate", "--mc-samples", "2000", "--edges", edges])
+        assert validate[0] == volume[0] == 2
+        assert validate[2] == volume[2]
+        assert "logarithm argument is not positive" in volume[2]
 
 
 class TestImportCost:
