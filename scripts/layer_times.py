@@ -13,6 +13,10 @@ layer alone.  The volume routes add their mean integrand evaluations.
 - ``lobachevsky`` takes each case's angle th12.
 - Monte Carlo draws 10,000 samples per case (seed: the case's index), so
   one pass draws 10^6 samples and its row is the time of the whole pass.
+  That stays below the size at which the oracle splits its blocks across
+  threads.  A second Monte Carlo row draws validate's default 200,000
+  samples on each of the first 10 cases and reports the time per call,
+  which runs on up to one thread per usable CPU.
 - The ``cli.run`` rows send one ``check``, ``angles`` or ``volume`` request
   per case through ``hytet.cli.run`` (the lengths as ``--edges``, output to
   a discarded buffer): the whole front end, argv to printed document.
@@ -60,6 +64,7 @@ ACCEPTANCE_SEED = 20240817
 PASSES = 5
 MC_SAMPLES = 10_000
 MONTE_CARLO = "volume_monte_carlo, per 10^6 samples"
+MC_VALIDATE_SAMPLES, MC_VALIDATE_CASES = 200_000, 10
 
 
 def timed(fn, args) -> tuple[float, list]:
@@ -106,6 +111,9 @@ def main() -> None:
         (MONTE_CARLO, volume_monte_carlo,
          [(emb, MonteCarloConfig(seed=k, samples=MC_SAMPLES))
           for k, emb in enumerate(embeddings)]),
+        (f"volume_monte_carlo, {MC_VALIDATE_SAMPLES:,} samples per call", volume_monte_carlo,
+         [(emb, MonteCarloConfig(seed=k, samples=MC_VALIDATE_SAMPLES))
+          for k, emb in enumerate(embeddings[:MC_VALIDATE_CASES])]),
         ("lobachevsky", lobachevsky, [(th.th12,) for th in angles]),
         *((f"cli.run {command}", cli_request, [([command, "--edges", e],) for e in edges])
           for command in ("check", "angles", "volume")),
@@ -124,7 +132,9 @@ def main() -> None:
         if fn in (volume_edges, volume_sforza):
             evals = f"{statistics.fmean(r.evaluations for r in results):.1f}"
         label = name if len(args) == len(lengths) else f"{name} ({len(args)} cases)"
-        print(f"| `{label}` | {1e6 * seconds / len(args):.1f} µs | {evals} |")
+        per_call = seconds / len(args)
+        cost = f"{1e3 * per_call:.2f} ms" if per_call > 1e-3 else f"{1e6 * per_call:.1f} µs"
+        print(f"| `{label}` | {cost} | {evals} |")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ check and not a tautology:
   no cancellation.  Sampling is counter-based: sample i always consumes
   block i of a Philox stream keyed by the seed, and samples are drawn and
   summed in fixed 4096-sample blocks, so the estimate depends only on
-  (seed, samples).
+  (seed, samples), not on how the blocks split into runs across CPUs.
 
 * ``euclidean_volume_cm`` and ``lobachevsky`` (half the Clausen function
   Cl2(2x), :func:`hytet.volume.clausen`) supply the flat-limit and
@@ -35,13 +35,15 @@ check and not a tautology:
 
 The embedding is a tuple of four row tuples, like core's matrices, and both
 Euclidean volumes come from core's 3x3 determinant.  numpy is imported only
-inside ``volume_monte_carlo``, which draws the samples.
+by the Monte Carlo estimator, which draws the samples.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 from .angles import DihedralAngles
@@ -63,6 +65,8 @@ __all__ = [
 # samples are drawn and summed in fixed blocks of this many, so the sums
 # associate identically for given (seed, samples); each (block, 4) is 128 KB
 _REDUCE_BLOCK = 4096
+# a run of blocks gets at least this many, or its thread costs more than it saves
+_MIN_RUN_BLOCKS = 8
 
 
 def _mdot(u, v) -> float:
@@ -91,9 +95,9 @@ class MonteCarloConfig:
     """Sampling parameters for the Klein-model volume estimator.
 
     Identical (seed, samples) give bit-identical results.  The seed is an
-    integer in [0, 2**64), as on the command line (not a bool).  Samples run
-    from 2 (one sample has no spread: its standard error of 0 would pass
-    any check) to ``MC_SAMPLES_MAX``, which bounds the run time.
+    integer in [0, 2**64), as on the command line (not a bool).  Samples are
+    an integer from 2 (one sample has no spread: its standard error of 0
+    would pass any check) to ``MC_SAMPLES_MAX``, which bounds the run time.
     """
 
     seed: int
@@ -103,9 +107,10 @@ class MonteCarloConfig:
         if (isinstance(self.seed, bool) or not hasattr(self.seed, "__index__")
                 or not 0 <= operator.index(self.seed) < 2 ** 64):
             raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not 2 <= self.samples <= MC_SAMPLES_MAX:
+        if not hasattr(self.samples, "__index__") or not (
+                2 <= operator.index(self.samples) <= MC_SAMPLES_MAX):
             raise DomainError(
-                f"samples must be in [2, {MC_SAMPLES_MAX}], got {self.samples!r}")
+                f"samples must be an integer in [2, {MC_SAMPLES_MAX}], got {self.samples!r}")
 
 
 def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:
@@ -202,7 +207,9 @@ def volume_monte_carlo(
     w^T M w sums positive terms and loses no digits near the ideal
     boundary, where 1 - |x|^2 formed from |x|^2 would.  The hyperbolic
     volume is the Euclidean volume times the mean density; the returned
-    ``error_estimate`` is one standard error.
+    ``error_estimate`` is one standard error.  Past block 0 the blocks split
+    into runs of 8 or more, one per usable CPU, each on its own thread and
+    Philox counter; block sums reduce in block order, bit for bit as one run.
     """
     import numpy as np
 
@@ -212,16 +219,56 @@ def volume_monte_carlo(
     x0 = v[:, 0]
     # Minkowski products in signature (-, +, +, +)
     m = -(v @ np.diag([-1.0, 1.0, 1.0, 1.0]) @ v.T) / np.outer(x0, x0)
-    ones = np.ones(4)
 
-    n = cfg.samples
-    block_sums: list[float] = []
+    n = operator.index(cfg.samples)
+    # block 0 first: its mean is the shift that keeps a tiny spread from cancelling
+    stats, shift = _block_stats(cfg.seed, m, n, 0, 1, None)
+    rest = (n - 1) // _REDUCE_BLOCK  # the other blocks, in one run per usable CPU
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    runs = max(1, min(cpus or 1, rest // _MIN_RUN_BLOCKS))
+    bounds = [1 + rest * r // runs for r in range(runs + 1)]
+    parts: list = [None] * runs
+
+    def run(r: int) -> None:
+        try:
+            parts[r] = _block_stats(cfg.seed, m, n, bounds[r], bounds[r + 1], shift)[0]
+        except BaseException as exc:  # raised again below, never dropped
+            parts[r] = exc
+
+    threads = [threading.Thread(target=run, args=(r,)) for r in range(1, runs)]
+    try:
+        for t in threads:
+            t.start()
+        run(0)
+    finally:
+        for t in threads:  # every started thread is joined: none outlives the call
+            if t.ident is not None:
+                t.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+        stats += part
     dev_sum = dev_sumsq = 0.0
-    # one generator drawn in order gives sample i Philox block i (four doubles)
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+    for total, count, sumsq in stats:  # in block order, as one serial loop would
+        dev_sum += total - count * shift
+        dev_sumsq += sumsq
+    mean = float(np.sum(np.asarray([total for total, _, _ in stats]))) / n
+    variance = max(dev_sumsq / n - (dev_sum / n) ** 2, 0.0)
+    return VolumeResult(vol_eucl * mean, vol_eucl * math.sqrt(variance / n), n, "monte_carlo",
+                        {"euclidean_volume": vol_eucl, "seed": cfg.seed})
+
+
+def _block_stats(seed, m, n, first, stop, shift):
+    """(sum, count, sum of squares about shift) per block in [first, stop) on
+    a generator and buffers of its own, and the shift (None: block 0's mean)."""
+    import numpy as np
+
+    gen = np.random.Generator(np.random.Philox(key=seed, counter=[first * _REDUCE_BLOCK, 0, 0, 0]))
     w_buf, wm_buf = np.empty((2, _REDUCE_BLOCK, 4))  # reused: no allocation per block
     s_buf, q_buf = np.empty((2, _REDUCE_BLOCK))
-    for start in range(0, n, _REDUCE_BLOCK):
+    ones = np.ones(4)
+    stats = []
+    for start in range(first * _REDUCE_BLOCK, min(stop * _REDUCE_BLOCK, n), _REDUCE_BLOCK):
         count = min(_REDUCE_BLOCK, n - start)
         w, wm, s, q = w_buf[:count], wm_buf[:count], s_buf[:count], q_buf[:count]
         # w = log1p(-u) is minus the exponential weights; the sign cancels below
@@ -229,24 +276,12 @@ def volume_monte_carlo(
         np.matmul(w, ones, out=s)
         np.matmul(np.multiply(np.matmul(w, m, out=wm), w, out=wm), ones, out=q)  # w^T M w
         density = np.square(np.divide(np.square(s, out=s), q, out=s), out=s)  # (s^2/q)^2
-        block_sums.append(float(np.sum(density)))
-        # spread about the first block's mean, so a tiny spread does not cancel
-        shift = block_sums[0] / min(_REDUCE_BLOCK, n)
-        dev_sum += block_sums[-1] - count * shift
+        total = float(np.sum(density))
+        if shift is None:
+            shift = total / min(_REDUCE_BLOCK, n)
         density -= shift
-        dev_sumsq += float(density @ density)
-
-    mean = float(np.sum(np.asarray(block_sums))) / n
-    variance = max(dev_sumsq / n - (dev_sum / n) ** 2, 0.0)
-    value = vol_eucl * mean
-    stderr = vol_eucl * math.sqrt(variance / n)
-    return VolumeResult(
-        value=value,
-        error_estimate=stderr,
-        evaluations=n,
-        route="monte_carlo",
-        diagnostics={"euclidean_volume": vol_eucl, "seed": cfg.seed},
-    )
+        stats.append((total, count, float(density @ density)))
+    return stats, shift
 
 
 def euclidean_volume_cm(lengths: EdgeLengths) -> float:

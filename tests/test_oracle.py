@@ -1,4 +1,6 @@
 import math
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +24,25 @@ from hytet import (
     volume_edges,
     volume_monte_carlo,
 )
+from hytet import oracle
 from hytet.config import MC_SAMPLES_MAX
 
 MINK = np.diag([-1.0, 1.0, 1.0, 1.0])
+MC_EDGES = {
+    "all_ones": (1, 1, 1, 1, 1, 1),
+    "scalene": (1.3, 1.1, 1.4, 1.2, 1.5, 1.25),
+    "edges_near_5": (5.0, 4.9, 5.1, 4.95, 5.05, 5.0),
+}
+
+
+def mc_embedding(name):
+    return embed_vertices(edge_matrix_from_lengths(EdgeLengths(*MC_EDGES[name])))
+
+
+def with_cpus(monkeypatch, cpus, threading_module=threading):
+    # the oracle sees `cpus` usable CPUs (and the given threading module)
+    monkeypatch.setattr(oracle, "os", SimpleNamespace(sched_getaffinity=lambda pid: range(cpus)))
+    monkeypatch.setattr(oracle, "threading", threading_module)
 
 
 def normals_route_angles(emb):
@@ -172,6 +190,20 @@ class TestMonteCarlo:
             with pytest.raises(DomainError):
                 MonteCarloConfig(seed=1, samples=samples)
 
+    @pytest.mark.parametrize("samples", [2.5, 4096.0, "100", np.float64(4096.0), True])
+    def test_samples_that_are_not_integers_rejected(self, samples):
+        # a float count would crash the block loop; a string, the comparison
+        with pytest.raises(DomainError):
+            MonteCarloConfig(seed=1, samples=samples)
+
+    def test_numpy_integer_samples_accepted(self, all_ones):
+        emb = embed_vertices(edge_matrix_from_lengths(all_ones))
+        cfg = MonteCarloConfig(seed=1, samples=np.int64(4097))
+        assert cfg.samples == 4097
+        mc = volume_monte_carlo(emb, cfg)
+        assert type(mc.value) is float and mc.evaluations == 4097
+        assert mc == volume_monte_carlo(emb, MonteCarloConfig(seed=1, samples=4097))
+
     def test_samples_above_the_cap_rejected(self):
         MonteCarloConfig(seed=1, samples=MC_SAMPLES_MAX)
         for samples in (MC_SAMPLES_MAX + 1, 10 ** 400):
@@ -207,6 +239,88 @@ class TestMonteCarlo:
                 np.random.Philox(key=42, counter=[start, 0, 0, 0])
             )
             assert np.array_equal(gen.random((count, 4)), jumped.random((count, 4)))
+
+    @pytest.mark.parametrize("name", MC_EDGES)
+    @pytest.mark.parametrize("samples", [2, 4095, 4096, 4097, 8 * 4096 + 1, 200_000, 1_000_003])
+    def test_split_into_runs_is_bit_identical(self, monkeypatch, name, samples):
+        # one run of blocks per CPU, down to one block per run: the same
+        # bits as a single run for every run count
+        monkeypatch.setattr(oracle, "_MIN_RUN_BLOCKS", 1)
+        emb = mc_embedding(name)
+        for seed in (0, 42, 2 ** 64 - 1):
+            cfg = MonteCarloConfig(seed=seed, samples=samples)
+            results = []
+            for cpus in (1, 2, 3):
+                with_cpus(monkeypatch, cpus)
+                mc = volume_monte_carlo(emb, cfg)
+                results.append((mc.value.hex(), mc.error_estimate.hex()))
+            assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("samples, runs", [
+        (10_000, 1), (8 * 4096, 1), (8 * 4096 + 1, 1), (16 * 4096 + 1, 2),
+        (24 * 4096 + 1, 3), (200_000, 3), (1_000_003, 3)])
+    def test_each_run_gets_at_least_eight_blocks(self, monkeypatch, samples, runs):
+        spans = []
+        block_stats = oracle._block_stats
+
+        def spy(seed, m, n, first, stop, shift):
+            spans.append((first, stop))
+            return block_stats(seed, m, n, first, stop, shift)
+
+        monkeypatch.setattr(oracle, "_block_stats", spy)
+        with_cpus(monkeypatch, 3)
+        volume_monte_carlo(mc_embedding("scalene"), MonteCarloConfig(seed=1, samples=samples))
+        # block 0, then contiguous runs that cover every other block once
+        assert spans[0] == (0, 1) and len(spans) == runs + 1
+        blocks = [b for first, stop in sorted(spans) for b in range(first, stop)]
+        assert blocks == list(range(-(-samples // 4096)))
+        if runs > 1:
+            assert min(stop - first for first, stop in spans[1:]) >= 8
+
+    def test_small_call_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a 10,000-sample call started a thread")
+
+        # however many CPUs: 10,000 samples is three blocks, below one run's floor
+        with_cpus(monkeypatch, 64, SimpleNamespace(Thread=no_thread))
+        mc = volume_monte_carlo(mc_embedding("scalene"), MonteCarloConfig(seed=1, samples=10_000))
+        assert mc.evaluations == 10_000
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        with_cpus(monkeypatch, 2, SimpleNamespace(Thread=Recorded))
+        before = threading.enumerate()
+        volume_monte_carlo(mc_embedding("scalene"), MonteCarloConfig(seed=1, samples=200_000))
+        assert len(started) == 1
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("failing_run", ["worker", "caller"])
+    def test_a_failing_run_raises_in_the_caller(self, monkeypatch, failing_run):
+        class Boom(RuntimeError):
+            pass
+
+        block_stats = oracle._block_stats
+        fail_on = {"caller": 1, "worker": 25}[failing_run]  # 200,000 samples: runs from 1 and 25
+
+        def failing(seed, m, n, first, stop, shift):
+            if first == fail_on:
+                raise Boom(threading.current_thread().name)
+            return block_stats(seed, m, n, first, stop, shift)
+
+        monkeypatch.setattr(oracle, "_block_stats", failing)
+        with_cpus(monkeypatch, 2)
+        before = threading.enumerate()
+        with pytest.raises(Boom) as info:
+            volume_monte_carlo(mc_embedding("scalene"), MonteCarloConfig(seed=1, samples=200_000))
+        on_main = str(info.value) == threading.current_thread().name
+        assert on_main == (failing_run == "caller")
+        assert threading.enumerate() == before
 
     @pytest.mark.parametrize("a", [1e-4, 3e-5])
     def test_error_estimate_matches_two_pass_variance(self, a):
