@@ -1,12 +1,12 @@
 """One SHA-256 over the exit code, stdout and stderr of every CLI request.
 
 Runs each subcommand in-process through ``hytet.cli.run`` on the 100
-acceptance cases (``sample_lengths`` drawn from the acceptance seed) and on
-a fixed set of edge and error cases, all passed through ``--edges``.  Two
-checkouts that print the same digest answer every request byte for byte
-alike, so a change that must not alter the output can be checked by running
-this script on both sides.  The checkout's own ``src`` is the one
-imported.  The ``HYTET_*`` environment variables are ignored, so the
+acceptance cases (``sample_lengths`` of ``tests/cases.py`` drawn from the
+acceptance seed) and on a fixed set of edge and error cases, all passed
+through ``--edges``.  Two checkouts that print the same digest answer every
+request byte for byte alike, so a change that must not alter the output can
+be checked by running this script on both sides.  The checkout's own
+``src`` and ``tests`` are the ones imported.  The ``HYTET_*`` environment variables are ignored, so the
 digest depends on the code and the platform only.
 
 With ``--requests`` it also prints one line per request, ahead of its
@@ -24,11 +24,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from hytet import EDGE_KEYS, sample_lengths  # noqa: E402
+from cases import sample_lengths  # noqa: E402
+from hytet import EDGE_KEYS  # noqa: E402
 from hytet.cli import run  # noqa: E402
 
 ACCEPTANCE_SEED = 20240817

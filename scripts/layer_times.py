@@ -2,11 +2,12 @@
 
 Prints one markdown row per layer: the median over 5 passes of one pass's
 ``time.perf_counter`` time divided by its calls, in-process.  A pass calls
-the layer once on each of the 100 acceptance cases (``sample_lengths``
-drawn from the acceptance seed).  Whatever a layer takes from an earlier
-layer (the edge matrix, the cofactors, the angles, the ``exists`` report,
-the embedding) is built before the clock starts, so each row times that
-layer alone.  The volume routes add their mean integrand evaluations.
+the layer once on each of the 100 acceptance cases (``sample_lengths`` of
+``tests/cases.py`` drawn from the acceptance seed).  Whatever a layer takes
+from an earlier layer (the edge matrix, the cofactors, the angles, the
+``exists`` report, the embedding) is built before the clock starts, so each
+row times that layer alone.  The volume routes add their mean integrand
+evaluations.
 
 - ``schlafli_residual`` takes validate's step, 1e-5 min(1, l34).
 - ``volume_regular`` takes each case's l12 as its edge.
@@ -21,8 +22,9 @@ layer alone.  The volume routes add their mean integrand evaluations.
   per case through ``hytet.cli.run`` (the lengths as ``--edges``, output to
   a discarded buffer): the whole front end, argv to printed document.
 
-The checkout's own ``src`` is the one imported, so running this script
-from two checkouts compares them.  On a shared host timings drift over
+The header line also gives the ``src/`` line count, the sum of
+``wc -l src/hytet/*.py``.  The checkout's own ``src`` and ``tests`` are the
+ones imported, so running this script from two checkouts compares them.  On a shared host timings drift over
 time, so compare runs made one after the other.
 
 Usage: python scripts/layer_times.py
@@ -36,10 +38,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
+from cases import sample_lengths  # noqa: E402
 from hytet import (  # noqa: E402
     EDGE_KEYS,
     MonteCarloConfig,
@@ -51,7 +54,6 @@ from hytet import (  # noqa: E402
     euclidean_volume_cm,
     exists,
     lobachevsky,
-    sample_lengths,
     schlafli_residual,
     volume_edges,
     volume_monte_carlo,
@@ -119,8 +121,11 @@ def main() -> None:
           for command in ("check", "angles", "volume")),
     )
 
+    src_lines = sum(len(path.read_bytes().splitlines())
+                    for path in (ROOT / "src" / "hytet").glob("*.py"))
     print(f"python {platform.python_version()}, numpy {np.__version__}; "
-          f"median of {PASSES} passes over the 100 acceptance cases\n")
+          f"median of {PASSES} passes over the 100 acceptance cases; "
+          f"src/ {src_lines:,} lines\n")
     print("| layer | cost per case | mean evaluations |")
     print("| --- | --- | --- |")
     for name, fn, args in rows:

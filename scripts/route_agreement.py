@@ -4,21 +4,28 @@ Draws interior-valid edge-length sets, computes the volume by the
 edge-length integral, the one-angle logarithmic integral, and Monte Carlo
 in the Klein model, and prints per-case gaps plus a worst-case summary.
 
+The checkout's own ``src`` is the one imported, and the cases come from
+``sample_lengths`` of ``tests/cases.py``.
+
 Usage: python scripts/route_agreement.py [N_CASES] [SEED]
 """
 
 import sys
 import time
+from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from hytet import (
+import numpy as np  # noqa: E402
+
+from cases import sample_lengths  # noqa: E402
+from hytet import (  # noqa: E402
     MonteCarloConfig,
     cofactors,
     dihedral_angles,
     edge_matrix_from_lengths,
     embed_vertices,
-    sample_lengths,
     volume_edges,
     volume_monte_carlo,
     volume_sforza,

@@ -29,14 +29,7 @@ from .errors import (
     NotATetrahedronError,
     NumericalError,
 )
-from .existence import (
-    ExistenceReport,
-    L34Bounds,
-    exists,
-    l34_bounds,
-    sample_lengths,
-    triangle_checks,
-)
+from .existence import ExistenceReport, L34Bounds, exists, l34_bounds
 from .oracle import (
     MonteCarloConfig,
     VertexEmbedding,
@@ -90,9 +83,7 @@ __all__ = [
     "l34_bounds",
     "lobachevsky",
     "opposite_pair",
-    "sample_lengths",
     "schlafli_residual",
-    "triangle_checks",
     "volume_derivative",
     "volume_edges",
     "volume_monte_carlo",

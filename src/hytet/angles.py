@@ -86,7 +86,7 @@ def dihedral_angles(C: CofactorSet) -> DihedralAngles:
     for (k, l), key in zip(EDGE_PAIRS, ANGLE_KEYS):
         i, j = opposite_pair(k, l)
         norm = math.sqrt(diag[i] * diag[j])
-        cos_th = -C.entry(i, j) / norm
+        cos_th = -C.c[i][j] / norm
         # not <= also catches NaN; an infinite norm means the cofactors overflowed
         if not abs(cos_th) <= 1.0 + COS_CLAMP or norm == math.inf:
             raise NumericalError(f"cosine of the angle along edge {k + 1}-{l + 1} is {cos_th!r} "

@@ -168,6 +168,19 @@ def _load_document(args) -> dict:
     return doc
 
 
+def _decimal(cast):
+    """cast for numbers and for ASCII text without underscores: float and int
+    alone also read "1_0" as 10, and fullwidth or Arabic-Indic digits too."""
+    def parse(raw):
+        if isinstance(raw, str) and (not raw.isascii() or "_" in raw):
+            raise ValueError(raw)
+        return cast(raw)
+    return parse
+
+
+_float, _int = _decimal(float), _decimal(int)
+
+
 def _lengths_from_document(doc: dict) -> EdgeLengths:
     edges = doc.get("edges")
     if not isinstance(edges, dict):
@@ -184,7 +197,7 @@ def _lengths_from_document(doc: dict) -> EdgeLengths:
         try:
             if isinstance(raw, bool):  # JSON true is no number
                 raise TypeError(raw)
-            values[key] = float(raw)
+            values[key] = _float(raw)
         except (TypeError, ValueError, OverflowError):
             raise _UsageError(f"edge {key} does not parse as a number: {raw!r}")
     return EdgeLengths(**values)  # DomainError on a negative or non-finite length
@@ -192,9 +205,9 @@ def _lengths_from_document(doc: dict) -> EdgeLengths:
 
 # setting: (environment variable, default, type); a flag beats the input
 # document's config key of the setting's name, which beats the environment
-_SETTINGS = (("tol", "HYTET_TOL", QUADRATURE_TOL, float),
-             ("mc_samples", "HYTET_MC_SAMPLES", DEFAULT_MC_SAMPLES, int),
-             ("seed", "HYTET_SEED", DEFAULT_SEED, int))
+_SETTINGS = (("tol", "HYTET_TOL", QUADRATURE_TOL, _float),
+             ("mc_samples", "HYTET_MC_SAMPLES", DEFAULT_MC_SAMPLES, _int),
+             ("seed", "HYTET_SEED", DEFAULT_SEED, _int))
 
 
 def _settings(args, doc: dict) -> None:
@@ -215,7 +228,7 @@ def _settings(args, doc: dict) -> None:
             continue
         try:
             # JSON true is no number, and a seed of 1.5 is not 1
-            if isinstance(raw, bool) or (cast is int and isinstance(raw, float)
+            if isinstance(raw, bool) or (cast is _int and isinstance(raw, float)
                                          and not raw.is_integer()):
                 raise ValueError(raw)
             setattr(args, name, cast(raw))
@@ -280,17 +293,15 @@ def _angles_block(C: CofactorSet) -> tuple[dict, object]:
     return {"angles": block, "diagnostics": diagnostics}, th
 
 
-def _cmd_check(lengths, args, out, err) -> int:
-    report = exists(lengths)
+def _cmd_check(report, args, out, err) -> int:
     _emit(_report_doc("check", report), args, out)
     return EXIT_OK if report.exists else EXIT_NOT_A_TETRAHEDRON
 
 
-def _cmd_angles(lengths, args, out, err) -> int:
-    report = exists(lengths)
+def _cmd_angles(report, args, out, err) -> int:
     if not report.exists:
         raise ExistenceError.from_report(report)
-    blocks, _ = _angles_block(cofactors(edge_matrix_from_lengths(lengths)))
+    blocks, _ = _angles_block(cofactors(edge_matrix_from_lengths(report.lengths)))
     _emit({**_report_doc("angles", report), **blocks}, args, out)
     return EXIT_OK
 
@@ -324,8 +335,7 @@ def _battery(command: str, report, args, err):
     return doc, abs(res.value - sf.value), z, E, C, th, emb
 
 
-def _cmd_volume(lengths, args, out, err) -> int:
-    report = exists(lengths)
+def _cmd_volume(report, args, out, err) -> int:
     if args.validate:
         doc, gap, z, *_ = _battery("volume", report, args, err)
         doc["agreement"] = {"edge_vs_sforza": _check(gap, ROUTE_GAP_LIMIT, "gap"),
@@ -337,13 +347,14 @@ def _cmd_volume(lengths, args, out, err) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(lengths, args, out, err) -> int:
-    profile = volume_profile(lengths, args.samples, args.tol)
+def _cmd_sweep(report, args, out, err) -> int:
+    profile = volume_profile(report, args.samples, args.tol)
     _warn_unconverged(err, profile.converged, "a sweep segment's volume")
     rows = [dict(zip(("t", "dVdt", "V"), row)) for row in profile]
 
     if args.format == "json":
-        _emit({"input": {"edges": lengths.as_dict()}, "command": "sweep", "rows": rows}, args, out)
+        _emit({"input": {"edges": report.lengths.as_dict()}, "command": "sweep", "rows": rows},
+              args, out)
     else:
         print("t,dVdt,V", file=out)
         for row in rows:
@@ -357,8 +368,7 @@ def _csv_number(v: float) -> str:
     return format(v, ".17g")
 
 
-def _cmd_validate(lengths, args, out, err) -> int:
-    report = exists(lengths)
+def _cmd_validate(report, args, out, err) -> int:
     doc, route_gap, z, E, C, th, emb = _battery("validate", report, args, err)
     th_geo = dihedral_angles_geometric(emb)
     angle_gap = max(abs(a - b) for a, b in zip(th.as_tuple(), th_geo.as_tuple()))
@@ -368,8 +378,9 @@ def _cmd_validate(lengths, args, out, err) -> int:
         "edge_vs_sforza": _check(route_gap, ROUTE_GAP_LIMIT),
         "monte_carlo_z": _check(z, MC_Z_LIMIT),
     }
-    h = 1e-5 * min(1.0, lengths.l34)  # the residual's h^2 term grows as the edges shrink
-    if not report.degenerate and lengths.l34 + h < report.bounds.l2:
+    l34 = report.lengths.l34
+    h = 1e-5 * min(1.0, l34)  # the residual's h^2 term grows as the edges shrink
+    if not report.degenerate and l34 + h < report.bounds.l2:
         resid = schlafli_residual(report, h)
         checks["schlafli_residual"] = _check(resid, SCHLAFLI_LIMIT)
     doc["checks"] = checks
@@ -415,13 +426,13 @@ _COMMANDS = {
 # that takes it or None); one table parses argv and writes the usage text
 _OPTIONS = {
     "--edges": ("edges", str, "inline lengths: l12=..,l13=..,l14=..,l23=..,l24=..,l34=..", None),
-    "--tol": ("tol", float, f"quadrature tolerance (default {QUADRATURE_TOL:g}, env HYTET_TOL)",
+    "--tol": ("tol", _float, f"quadrature tolerance (default {QUADRATURE_TOL:g}, env HYTET_TOL)",
               None),
-    "--mc-samples": ("mc_samples", int, "Monte Carlo sample count (env HYTET_MC_SAMPLES)", None),
-    "--seed": ("seed", int, "Monte Carlo seed (env HYTET_SEED)", None),
+    "--mc-samples": ("mc_samples", _int, "Monte Carlo sample count (env HYTET_MC_SAMPLES)", None),
+    "--seed": ("seed", _int, "Monte Carlo seed (env HYTET_SEED)", None),
     "--format": ("format", str, "json or csv (default csv for sweep, json otherwise)", None),
     "--validate": ("validate", None, "add Sforza and Monte Carlo cross-checks", "volume"),
-    "--samples": ("samples", int, f"grid size (default {DEFAULT_SWEEP_SAMPLES})", "sweep"),
+    "--samples": ("samples", _int, f"grid size (default {DEFAULT_SWEEP_SAMPLES})", "sweep"),
     "--help": ("help", None, "print this usage text and exit (also -h)", None),
 }
 _TABLES = {command: {name: spec for name, spec in _OPTIONS.items() if spec[3] in (None, command)}
@@ -502,7 +513,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         doc = _load_document(args)
         lengths = _lengths_from_document(doc)
         _settings(args, doc)
-        return _COMMANDS[args.command][0](lengths, args, out, err)
+        return _COMMANDS[args.command][0](exists(lengths), args, out, err)
     except (_UsageError, DomainError) as e:
         print(f"hytet: input error: {e}", file=err)
         return EXIT_USAGE

@@ -111,9 +111,6 @@ class EdgeMatrix:
     e: Matrix4
     shifted: Matrix4
 
-    def entry(self, i: int, j: int) -> float:
-        return self.e[i][j]
-
 
 @dataclass(frozen=True, eq=False)
 class CofactorSet:
@@ -127,9 +124,6 @@ class CofactorSet:
 
     c: Matrix4
     delta: float
-
-    def entry(self, i: int, j: int) -> float:
-        return self.c[i][j]
 
     @property
     def diagonal(self) -> tuple[float, float, float, float]:

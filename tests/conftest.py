@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hytet import EdgeLengths, sample_lengths
+from cases import sample_lengths
+from hytet import EdgeLengths
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from cases import sample_lengths
 from hytet import (
     EdgeLengths,
     MonteCarloConfig,
@@ -24,7 +25,6 @@ from hytet import (
     jacobi_residuals,
     l34_bounds,
     lobachevsky,
-    sample_lengths,
     schlafli_residual,
     volume_edges,
     volume_monte_carlo,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cases import sample_lengths
 from hytet import (
     DihedralAngles,
     DomainError,
@@ -15,7 +16,6 @@ from hytet import (
     edge_matrix_from_lengths,
     gram_from_angles,
     l34_bounds,
-    sample_lengths,
 )
 from hytet.core import EDGE_PAIRS, cofactor4
 

@@ -295,6 +295,30 @@ class TestInput:
         assert (code, out) == (64, "")
         assert err == f"hytet: input error: edge l12 does not parse as a number: {raw!r}\n"
 
+    @pytest.mark.parametrize("text", ["1_0", "１", "٣"],
+                             ids=["underscore", "fullwidth", "arabic-indic"])
+    @pytest.mark.parametrize("source", ["edges", "document", "flag", "config", "environment"])
+    def test_number_text_must_be_an_ascii_decimal(self, tmp_path, monkeypatch, source, text):
+        # float and int read these as 10, 1 and 3
+        doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")}}
+        argv = ["check", str(tmp_path / "input.json")]
+        message = f"edge l12 does not parse as a number: {text!r}"
+        if source == "edges":
+            argv = ["check", "--edges", f"l12={text}" + ONES[len("l12=1"):]]
+        elif source == "document":
+            doc["edges"]["l12"] = text
+        elif source == "flag":
+            argv.append(f"--mc-samples={text}")
+            message = f"bad or missing value for --mc-samples: {text!r}"
+        elif source == "config":
+            doc["config"] = {"mc_samples": text}
+            message = "config mc_samples does not parse"
+        else:
+            monkeypatch.setenv("HYTET_MC_SAMPLES", text)
+            message = "environment HYTET_MC_SAMPLES does not parse"
+        (tmp_path / "input.json").write_text(json.dumps(doc))
+        assert invoke(argv) == (64, "", f"hytet: input error: {message}\n")
+
     @pytest.mark.parametrize("text, message", [
         (b"\xff\xfe{}", "cannot read input file"),
         (b"[" * 100_000 + b"]" * 100_000, "input is not valid JSON"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cases import sample_lengths
 from hytet import (
     DomainError,
     EdgeLengths,
@@ -14,7 +15,6 @@ from hytet import (
     expansion_residual,
     jacobi_residuals,
     opposite_pair,
-    sample_lengths,
 )
 
 EDGE_NAMES = ["l12", "l13", "l14", "l23", "l24", "l34"]
@@ -48,7 +48,7 @@ class TestEdgeLengths:
 
     def test_single_edge_cosh(self):
         E = edge_matrix_from_lengths(EdgeLengths(1.0, 0.3, 0.4, 0.5, 0.6, 0.7))
-        assert E.entry(0, 1) == pytest.approx(1.5430806348152437, abs=1e-15)
+        assert E.e[0][1] == pytest.approx(1.5430806348152437, abs=1e-15)
 
     @pytest.mark.parametrize("field", EDGE_NAMES)
     def test_negative_input_names_field(self, field):
@@ -89,7 +89,7 @@ class TestCofactors:
         for i in range(4):
             for j in range(4):
                 expected = cii_exact if i == j else cij_exact
-                assert C.entry(i, j) == pytest.approx(expected, rel=1e-13)
+                assert C.c[i][j] == pytest.approx(expected, rel=1e-13)
 
     @settings(max_examples=80, deadline=None)
     @given(lengths_st)
@@ -119,7 +119,7 @@ class TestCofactors:
         assert abs(C.delta - Cp.delta) <= 1e-11 * (1.0 + abs(C.delta))
         for i in range(4):
             for j in range(4):
-                assert abs(Cp.entry(i, j) - C.entry(sigma[i], sigma[j])) <= 1e-11 * scale
+                assert abs(Cp.c[i][j] - C.c[sigma[i]][sigma[j]]) <= 1e-11 * scale
 
 
 class TestCofactorsPinnedBits:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cases import sample_lengths
 from hytet import (
     DomainError,
     EdgeLengths,
@@ -14,7 +15,6 @@ from hytet import (
     edge_matrix_from_lengths,
     exists,
     l34_bounds,
-    sample_lengths,
 )
 
 
@@ -26,30 +26,23 @@ def regular_upper_cosh(a: float) -> float:
 
 class TestTriangleChecks:
     def test_equilateral_passes_with_unit_slack(self):
-        from hytet import triangle_checks
-
         L = EdgeLengths(1, 1, 2, 1, 2, 1)  # triangle 1-2-3 equilateral
-        ok123, _, slacks = triangle_checks(L)
-        assert ok123
-        assert slacks["tri_123_sum"] == pytest.approx(1.0)
-        assert slacks["tri_123_diff"] == pytest.approx(1.0)
+        report = exists(L)
+        assert report.tri_123_ok
+        assert report.slacks["tri_123_sum"] == pytest.approx(1.0)
+        assert report.slacks["tri_123_diff"] == pytest.approx(1.0)
 
     def test_long_edge_fails(self):
-        from hytet import triangle_checks
-
         L = EdgeLengths(3, 1, 1, 1, 1, 1)
-        ok123, _, slacks = triangle_checks(L)
-        assert not ok123
-        assert slacks["tri_123_sum"] < 0
+        report = exists(L)
+        assert not report.tri_123_ok
+        assert report.slacks["tri_123_sum"] < 0
 
     def test_flat_triangle_passes_with_zero_slack(self):
-        from hytet import triangle_checks
-
         L = EdgeLengths(2, 1, 1, 1, 1, 1)
-        ok123, _, slacks = triangle_checks(L)
-        assert ok123
-        assert slacks["tri_123_sum"] == pytest.approx(0.0, abs=1e-15)
         report = exists(L)
+        assert report.tri_123_ok
+        assert report.slacks["tri_123_sum"] == pytest.approx(0.0, abs=1e-15)
         assert report.degenerate
 
 
@@ -196,16 +189,3 @@ class TestFoldIntervalAgreesWithTheDeterminant:
                 assert delta(b.l1 - step) > 0.0, five
             else:
                 assert b.l1 == 0.0 and five[1] == five[2] and five[3] == five[4]
-
-
-class TestSampleLengths:
-    @pytest.mark.parametrize("kwargs", [
-        dict(lo=0.0015, hi=0.0045),
-        dict(hi=0.2),
-        dict(margin=0.25),
-    ])
-    def test_unsatisfiable_width_test_rejected_up_front(self, kwargs):
-        rng = np.random.default_rng(0)
-        with pytest.raises(DomainError):
-            sample_lengths(rng, **kwargs)
-        assert rng.random() == np.random.default_rng(0).random()

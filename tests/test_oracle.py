@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cases import sample_lengths
 from hytet import (
     DegenerateError,
     DomainError,
@@ -20,7 +21,6 @@ from hytet import (
     euclidean_volume_cm,
     l34_bounds,
     lobachevsky,
-    sample_lengths,
     volume_edges,
     volume_monte_carlo,
 )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cases import sample_lengths
 from hytet import (
     DomainError,
     EdgeLengths,
@@ -18,7 +19,6 @@ from hytet import (
     euclidean_volume_cm,
     exists,
     l34_bounds,
-    sample_lengths,
     schlafli_residual,
     volume_derivative,
     volume_edges,
