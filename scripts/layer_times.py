@@ -9,7 +9,10 @@ from an earlier layer (the edge matrix, the cofactors, the angles, the
 row times that layer alone.  The volume routes add their mean integrand
 evaluations.
 
-- ``schlafli_residual`` takes validate's step, 1e-5 min(1, l34).
+- ``schlafli_residual`` takes validate's step, 1e-5 min(1, l34).  Its
+  ``exists`` reports keep the base angles they build on the first pass, so
+  later passes build only the moved lengths' angles, as in ``validate``,
+  whose report holds its angles before the Schläfli step runs.
 - ``volume_regular`` takes each case's l12 as its edge.
 - ``lobachevsky`` takes each case's angle th12.
 - Monte Carlo draws 10,000 samples per case (seed: the case's index), so
@@ -18,9 +21,12 @@ evaluations.
   threads.  A second Monte Carlo row draws validate's default 200,000
   samples on each of the first 10 cases and reports the time per call,
   which runs on up to one thread per usable CPU.
-- The ``cli.run`` rows send one ``check``, ``angles`` or ``volume`` request
+- The ``cli.run`` rows send one request of each of the five subcommands
   per case through ``hytet.cli.run`` (the lengths as ``--edges``, output to
   a discarded buffer): the whole front end, argv to printed document.
+  ``sweep`` takes its default 33 samples; ``validate`` takes its default
+  200,000 Monte Carlo samples and, as the second Monte Carlo row, runs on
+  the first 10 cases only.
 
 The header line also gives the ``src/`` line count, the sum of
 ``wc -l src/hytet/*.py``.  The checkout's own ``src`` and ``tests`` are the
@@ -118,7 +124,9 @@ def main() -> None:
           for k, emb in enumerate(embeddings[:MC_VALIDATE_CASES])]),
         ("lobachevsky", lobachevsky, [(th.th12,) for th in angles]),
         *((f"cli.run {command}", cli_request, [([command, "--edges", e],) for e in edges])
-          for command in ("check", "angles", "volume")),
+          for command in ("check", "angles", "volume", "sweep")),
+        ("cli.run validate", cli_request,
+         [(["validate", "--edges", e],) for e in edges[:MC_VALIDATE_CASES]]),
     )
 
     src_lines = sum(len(path.read_bytes().splitlines())

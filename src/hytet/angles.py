@@ -58,11 +58,6 @@ class DihedralAngles:
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(getattr(self, k) for k in ANGLE_KEYS)
 
-    def angle(self, i: int, j: int) -> float:
-        """Angle along the edge joining 0-based vertices i and j."""
-        i, j = min(i, j), max(i, j)
-        return getattr(self, f"th{i + 1}{j + 1}")
-
 
 def dihedral_angles(C: CofactorSet) -> DihedralAngles:
     """All six dihedral angles from a cofactor set.

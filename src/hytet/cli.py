@@ -18,20 +18,15 @@ import json
 import math
 import os
 import sys
+from decimal import Context, Decimal
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .angles import dihedral_angles
 from .config import (ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_SAMPLES_MAX, MC_Z_LIMIT,
                      QUADRATURE_TOL, ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT)
-from .core import (
-    EDGE_KEYS,
-    CofactorSet,
-    EdgeLengths,
-    cofactors,
-    edge_matrix_from_lengths,
-    jacobi_residuals,
-)
+# unused here (the report builds E, C and the angles): hytetbench's tracer wraps these names here
+from .angles import dihedral_angles
+from .core import EDGE_KEYS, EdgeLengths, cofactors, edge_matrix_from_lengths, jacobi_residuals
 from .errors import (
     DomainError,
     ExistenceError,
@@ -169,16 +164,25 @@ def _load_document(args) -> dict:
 
 
 def _decimal(cast):
-    """cast for numbers and for ASCII text without underscores: float and int
-    alone also read "1_0" as 10, and fullwidth or Arabic-Indic digits too."""
+    """cast for numbers other than bool and for ASCII text without underscores:
+    float and Decimal also read "1_0" as 10, and fullwidth or Arabic-Indic digits."""
     def parse(raw):
-        if isinstance(raw, str) and (not raw.isascii() or "_" in raw):
+        if isinstance(raw, bool) or isinstance(raw, str) and (not raw.isascii() or "_" in raw):
             raise ValueError(raw)
         return cast(raw)
     return parse
 
 
-_float, _int = _decimal(float), _decimal(int)
+def _whole(raw) -> int:
+    """The integer an int, a float or decimal text names, read exactly: 2000.0,
+    "2000.0" and "2e3" are 2000; 1.5, "nan" and past int()'s 4,300 digits raise."""
+    value = Decimal(raw if isinstance(raw, (int, float)) else str(raw), Context(traps=[]))
+    if not value.is_finite() or value != value.to_integral_value() or value.adjusted() >= 4300:
+        raise ValueError(raw)  # Decimal reads malformed text, or a list, as NaN
+    return int(value)
+
+
+_float, _int = _decimal(float), _decimal(_whole)
 
 
 def _lengths_from_document(doc: dict) -> EdgeLengths:
@@ -195,8 +199,6 @@ def _lengths_from_document(doc: dict) -> EdgeLengths:
     for key in EDGE_KEYS:
         raw = edges[key]
         try:
-            if isinstance(raw, bool):  # JSON true is no number
-                raise TypeError(raw)
             values[key] = _float(raw)
         except (TypeError, ValueError, OverflowError):
             raise _UsageError(f"edge {key} does not parse as a number: {raw!r}")
@@ -227,10 +229,6 @@ def _settings(args, doc: dict) -> None:
             setattr(args, name, default)
             continue
         try:
-            # JSON true is no number, and a seed of 1.5 is not 1
-            if isinstance(raw, bool) or (cast is _int and isinstance(raw, float)
-                                         and not raw.is_integer()):
-                raise ValueError(raw)
             setattr(args, name, cast(raw))
         except (TypeError, ValueError, OverflowError):
             raise _UsageError(f"{source} does not parse")
@@ -278,8 +276,8 @@ def _volume_block(res: VolumeResult, err) -> dict:
     }
 
 
-def _angles_block(C: CofactorSet) -> tuple[dict, object]:
-    th = dihedral_angles(C)
+def _angles_block(report) -> dict:
+    C, th = report.cofactors, report.angles
     radians = th.as_dict()
     block = {
         "radians": radians,
@@ -290,7 +288,7 @@ def _angles_block(C: CofactorSet) -> tuple[dict, object]:
         "delta": C.delta,
         "cofactor_diagonal": list(C.diagonal),
     }
-    return {"angles": block, "diagnostics": diagnostics}, th
+    return {"angles": block, "diagnostics": diagnostics}
 
 
 def _cmd_check(report, args, out, err) -> int:
@@ -301,8 +299,7 @@ def _cmd_check(report, args, out, err) -> int:
 def _cmd_angles(report, args, out, err) -> int:
     if not report.exists:
         raise ExistenceError.from_report(report)
-    blocks, _ = _angles_block(cofactors(edge_matrix_from_lengths(report.lengths)))
-    _emit({**_report_doc("angles", report), **blocks}, args, out)
+    _emit({**_report_doc("angles", report), **_angles_block(report)}, args, out)
     return EXIT_OK
 
 
@@ -317,27 +314,25 @@ def _battery(command: str, report, args, err):
     and angles, the Sforza volume, the embedding, Monte Carlo; where two
     fail, the first one is reported.  Returns the document with the three
     volume blocks and the angles, the edge volume's gaps to the Sforza
-    volume and, in standard errors, to the Monte Carlo one, and the E, C,
-    angles and embedding it built.
+    volume and, in standard errors, to the Monte Carlo one, and the
+    embedding it built; E, C and the angles stay on the report.
     """
     res = volume_edges(report, args.tol)
-    E = edge_matrix_from_lengths(report.lengths)
-    C = cofactors(E)
-    blocks, th = _angles_block(C)
-    sf = volume_sforza(th, args.tol)
-    emb = embed_vertices(E)
+    blocks = _angles_block(report)
+    sf = volume_sforza(report.angles, args.tol)
+    emb = embed_vertices(report.edge_matrix)
     mc = volume_monte_carlo(emb, MonteCarloConfig(seed=args.seed, samples=args.mc_samples))
     doc = _report_doc(command, report)
     doc["volume"] = {"edge_integral": _volume_block(res, err),
                      "sforza": _volume_block(sf, err), "monte_carlo": _volume_block(mc, err)}
     doc.update(blocks)
     z = abs(res.value - mc.value) / mc.error_estimate if mc.error_estimate else 0.0
-    return doc, abs(res.value - sf.value), z, E, C, th, emb
+    return doc, abs(res.value - sf.value), z, emb
 
 
 def _cmd_volume(report, args, out, err) -> int:
     if args.validate:
-        doc, gap, z, *_ = _battery("volume", report, args, err)
+        doc, gap, z, _ = _battery("volume", report, args, err)
         doc["agreement"] = {"edge_vs_sforza": _check(gap, ROUTE_GAP_LIMIT, "gap"),
                             "monte_carlo_z": _check(z, MC_Z_LIMIT, "z")}
     else:
@@ -369,11 +364,12 @@ def _csv_number(v: float) -> str:
 
 
 def _cmd_validate(report, args, out, err) -> int:
-    doc, route_gap, z, E, C, th, emb = _battery("validate", report, args, err)
+    doc, route_gap, z, emb = _battery("validate", report, args, err)
     th_geo = dihedral_angles_geometric(emb)
-    angle_gap = max(abs(a - b) for a, b in zip(th.as_tuple(), th_geo.as_tuple()))
+    angle_gap = max(abs(a - b) for a, b in zip(report.angles.as_tuple(), th_geo.as_tuple()))
+    jacobi = jacobi_residuals(report.edge_matrix, report.cofactors).max_relative
     checks = {
-        "jacobi_max_relative": _check(jacobi_residuals(E, C).max_relative, JACOBI_LIMIT),
+        "jacobi_max_relative": _check(jacobi, JACOBI_LIMIT),
         "angle_routes_max_gap": _check(angle_gap, ANGLE_GAP_LIMIT),
         "edge_vs_sforza": _check(route_gap, ROUTE_GAP_LIMIT),
         "monte_carlo_z": _check(z, MC_Z_LIMIT),
@@ -520,8 +516,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     except NotATetrahedronError as e:
         print(f"hytet: not a tetrahedron: {e}", file=err)
         if getattr(e, "report", None) is not None:  # an ExistenceError's report
-            doc = {"command": "error", "existence": _existence_block(e.report)}
-            print(_dump_json(doc), file=out)
+            _emit({"command": "error", "existence": _existence_block(e.report)}, args, out)
         return EXIT_NOT_A_TETRAHEDRON
     except (NumericalError, OverflowError) as e:
         print(f"hytet: numerical failure: {e}", file=err)

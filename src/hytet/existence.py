@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
+from . import angles, core
 from .config import BOUNDARY_TOL
-from .core import EdgeLengths
 from .errors import DomainError, NotATetrahedronError
 
 __all__ = ["L34Bounds", "ExistenceReport", "l34_bounds", "exists"]
@@ -72,7 +73,9 @@ class ExistenceReport:
     tolerance of zero, i.e. the tetrahedron exists but is flat.
     ``failed`` lists the names of violated inequalities.  ``lengths`` are
     the lengths judged; the edge-route functions of :mod:`hytet.volume`
-    accept the report in their place and then skip the test.
+    accept the report in their place and then skip the test.  ``edge_matrix``,
+    ``cofactors`` and ``angles`` are built from ``lengths`` on first use and
+    kept, so a request that reads the report builds each at most once.
     """
 
     tri_123_ok: bool
@@ -83,7 +86,20 @@ class ExistenceReport:
     exists: bool
     slacks: dict[str, float]
     failed: tuple[str, ...]
-    lengths: EdgeLengths
+    lengths: core.EdgeLengths
+
+    # each looked up on its module, where a tracer may wrap it
+    @cached_property
+    def edge_matrix(self) -> core.EdgeMatrix:
+        return core.edge_matrix_from_lengths(self.lengths)
+
+    @cached_property
+    def cofactors(self) -> core.CofactorSet:
+        return core.cofactors(self.edge_matrix)
+
+    @cached_property
+    def angles(self) -> angles.DihedralAngles:
+        return angles.dihedral_angles(self.cofactors)
 
 
 def _near_zero(slack: float, scale: float) -> bool:
@@ -156,7 +172,7 @@ def l34_bounds(
     )
 
 
-def exists(lengths: EdgeLengths) -> ExistenceReport:
+def exists(lengths: core.EdgeLengths) -> ExistenceReport:
     """Full existence test.  Failures are report fields, not exceptions; the
     one exception is the OverflowError of ``l34_bounds`` past edges of a few
     hundred.

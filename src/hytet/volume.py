@@ -87,10 +87,10 @@ import cmath
 import math
 from dataclasses import dataclass, field, replace
 
-from .angles import DihedralAngles, dihedral_angles, gram_from_angles
+from . import angles, core, quadrature
+from .angles import DihedralAngles, gram_from_angles
 from .config import BOUNDARY_TOL, QUADRATURE_TOL, TIGHT_QUADRATURE_TOL
-from .core import (EDGE_PAIRS, EdgeLengths, cofactor4, cofactors, det4,
-                   edge_matrix_from_lengths)
+from .core import EdgeLengths, cofactor4, det4
 from .errors import (
     DomainError,
     ExistenceError,
@@ -99,7 +99,6 @@ from .errors import (
     NumericalError,
 )
 from .existence import ExistenceReport, L34Bounds, exists, l34_bounds
-from . import quadrature
 
 __all__ = [
     "VolumeResult",
@@ -526,7 +525,7 @@ def schlafli_residual(lengths: EdgeLengths | ExistenceReport, h: float) -> float
     scales as h^2 (the coefficient is the derivative of the 3-4 angle, whose
     own length coefficient moves with the fold).  Requires a strictly
     interior configuration with margin for the step.  ``lengths`` may be
-    their ``exists`` report.
+    their ``exists`` report, whose angles then serve as the base ones.
     """
     if not 0.0 < h < 0.1:
         raise DomainError(f"step h must be in (0, 0.1), got {h!r}")
@@ -544,10 +543,8 @@ def schlafli_residual(lengths: EdgeLengths | ExistenceReport, h: float) -> float
 
     moved = lengths.with_l34(lengths.l34 + h)
     dv = integ.integral(lengths.l34, moved.l34, TIGHT_QUADRATURE_TOL).value
-    th0 = dihedral_angles(cofactors(edge_matrix_from_lengths(lengths)))
-    th1 = dihedral_angles(cofactors(edge_matrix_from_lengths(moved)))
-    lm = lengths.length_matrix()
-    swing = sum(
-        lm[i][j] * (th1.angle(i, j) - th0.angle(i, j)) for (i, j) in EDGE_PAIRS
-    )
+    th0 = report.angles
+    th1 = angles.dihedral_angles(core.cofactors(core.edge_matrix_from_lengths(moved)))
+    swing = sum(l * (a1 - a0) for l, a1, a0 in
+                zip(lengths.as_tuple(), th1.as_tuple(), th0.as_tuple()))
     return abs(dv + 0.5 * swing)

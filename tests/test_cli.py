@@ -319,6 +319,46 @@ class TestInput:
         (tmp_path / "input.json").write_text(json.dumps(doc))
         assert invoke(argv) == (64, "", f"hytet: input error: {message}\n")
 
+    @pytest.mark.parametrize("name, source, text, number", [
+        (name, source, text, number)
+        for name, source in [("mc_samples", "flag"), ("mc_samples", "config"),
+                             ("mc_samples", "environment"), ("seed", "flag"), ("seed", "config"),
+                             ("seed", "environment"), ("samples", "flag")]
+        for text, number in [("20.0", 20), ("2e1", 20), ("18446744073709551615.0", 2 ** 64 - 1),
+                             ("1.5", None), ("nan", None), ("inf", None)]
+        if not (name == "samples" and number == 2 ** 64 - 1)  # a sweep that long never ends
+    ])
+    def test_whole_number_text_reads_as_its_json_number(
+            self, tmp_path, monkeypatch, name, source, text, number):
+        # one parser on every path; it reads text exactly, so the largest seed
+        # stays 2**64 - 1, where a float would round it up to 2**64
+        path = tmp_path / "input.json"
+        flag = "--" + name.replace("_", "-")
+
+        def request(value):
+            doc = {"edges": {k: 1.0 for k in hytet.EDGE_KEYS}}
+            argv = (["sweep", str(path)] if name == "samples" else
+                    ["volume", "--validate", str(path)]
+                    + ([] if name == "mc_samples" else ["--mc-samples", "20"]))
+            if source == "flag":
+                argv.append(f"{flag}={value}")
+            elif source == "config":
+                doc["config"] = {name: value}
+            else:
+                monkeypatch.setenv(f"HYTET_{name.upper()}", str(value))
+            path.write_text(json.dumps(doc))
+            return invoke(argv)
+
+        if number is None:
+            message = {"flag": f"bad or missing value for {flag}: {text!r}",
+                       "config": f"config {name} does not parse",
+                       "environment": f"environment HYTET_{name.upper()} does not parse"}[source]
+            assert request(text) == (64, "", f"hytet: input error: {message}\n")
+            return
+        answer = request(text)
+        assert answer == request(number)
+        assert answer[0] == (64 if name == "mc_samples" and number > MC_SAMPLES_MAX else 0)
+
     @pytest.mark.parametrize("text, message", [
         (b"\xff\xfe{}", "cannot read input file"),
         (b"[" * 100_000 + b"]" * 100_000, "input is not valid JSON"),
@@ -419,13 +459,15 @@ class TestSweep:
 
     def test_refuses_what_volume_refuses(self):
         # sweep runs the existence test of volume, so a non-tetrahedron
-        # gets the same exit code, message and error document from both
+        # gets the same exit code, message and error document from both,
+        # written in the request's format: CSV is sweep's default
         far = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=2"
         code, out, err = invoke(["sweep", "--samples", "3", "--edges", far])
-        v_code, v_out, v_err = invoke(["volume", "--edges", far])
+        v_code, v_out, v_err = invoke(["volume", "--format", "csv", "--edges", far])
         assert code == v_code == 2
         assert out == v_out and err == v_err
         assert "l34_upper" in err
+        assert out.splitlines()[:2] == ["key,value", "command,error"]
         # and both answer at a = 0.01, where they used to exit 70 together
         short = "l12=0.01,l13=0.01,l14=0.01,l23=0.01,l24=0.01,l34=0.01"
         code, out, _ = invoke(["sweep", "--samples", "3", "--edges", short])
@@ -454,6 +496,15 @@ class TestCsvFormat:
         code, out, _ = invoke(["angles", "--format", "csv", "--edges", ONES])
         assert code == 0
         assert any(line.startswith("angles.radians.th12,") for line in out.splitlines())
+
+    @pytest.mark.parametrize("command", ["check", "angles", "volume"])
+    def test_refusal_prints_its_report_in_the_requested_format(self, command):
+        far = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=2"
+        code, out, _ = invoke([command, "--format", "csv", "--edges", far])
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0] == "key,value"
+        assert "existence.failed.0,l34_upper" in lines
 
 
 class TestAngles:
@@ -655,8 +706,7 @@ class TestOneBattery:
     """`validate` and `volume --validate` run one battery: each shared route
     once, in one order, so both refuse an input alike."""
 
-    ROUTES = ("exists", "volume_edges", "cofactors", "volume_sforza", "embed_vertices",
-              "volume_monte_carlo")
+    ROUTES = ("exists", "volume_edges", "volume_sforza", "embed_vertices", "volume_monte_carlo")
 
     @pytest.mark.parametrize("command", [["validate"], ["volume", "--validate"]], ids=" ".join)
     def test_each_route_runs_once(self, monkeypatch, command):
@@ -679,6 +729,36 @@ class TestOneBattery:
         assert validate[0] == volume[0] == 2
         assert validate[2] == volume[2]
         assert "logarithm argument is not positive" in volume[2]
+
+
+class TestOneRecord:
+    """A request builds E, its cofactors and the angles at most once, on its
+    existence report; only `validate`'s Schläfli step builds them again, at
+    the moved lengths."""
+
+    NAMES = ("edge_matrix_from_lengths", "cofactors", "dihedral_angles")
+
+    @pytest.mark.parametrize("command, builds", [
+        (["check"], 0),
+        (["volume"], 0),
+        (["sweep", "--samples", "5"], 0),
+        (["angles"], 1),
+        (["volume", "--validate", "--mc-samples", "2000"], 1),
+        (["validate", "--mc-samples", "2000"], 2),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_builds_per_request(self, monkeypatch, command, builds):
+        calls = []
+        # counted at every binding of each name under src/
+        for module in (hytet.core, hytet.angles, hytet.cli, hytet.volume, hytet.existence):
+            for name in self.NAMES:
+                if hasattr(module, name):
+                    def counted(*args, name=name, fn=getattr(module, name)):
+                        calls.append(name)
+                        return fn(*args)
+                    monkeypatch.setattr(module, name, counted)
+        code, _, _ = invoke([*command, "--edges", ONES])
+        assert code == 0
+        assert sorted(calls) == sorted(self.NAMES * builds)
 
 
 class TestImportCost:

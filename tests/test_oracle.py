@@ -143,7 +143,7 @@ class TestGeometricAngles:
             th_cof = dihedral_angles(cofactors(E))
             by_normals = normals_route_angles(emb)
             for (i, j), angle in by_normals.items():
-                geo = th_geo.angle(i, j)
+                geo = getattr(th_geo, f"th{i + 1}{j + 1}")
                 worst_norm = max(worst_norm, abs(geo - angle))
             worst_cof = max(
                 worst_cof,
