@@ -21,12 +21,18 @@ evaluations.
   threads.  A second Monte Carlo row draws validate's default 200,000
   samples on each of the first 10 cases and reports the time per call,
   which runs on up to one thread per usable CPU.
-- The ``cli.run`` rows send one request of each of the five subcommands
-  per case through ``hytet.cli.run`` (the lengths as ``--edges``, output to
-  a discarded buffer): the whole front end, argv to printed document.
+- The ``cli.run`` rows send one request of each of the other four
+  subcommands per case through ``hytet.cli.run`` (the lengths as
+  ``--edges``, output to a discarded buffer): the whole front end, argv
+  to printed document.
   ``sweep`` takes its default 33 samples; ``validate`` takes its default
   200,000 Monte Carlo samples and, as the second Monte Carlo row, runs on
   the first 10 cases only.
+- ``check`` is timed in the three steps ``run`` takes: the front end (argv
+  parsed, the ``--edges`` document read into ``EdgeLengths`` and the
+  settings resolved), ``exists``, and the document text (``check``'s
+  handler writing the JSON to a discarded buffer).  Each step starts from
+  what the step before it built.
 
 The header line also gives the ``src/`` line count, the sum of
 ``wc -l src/hytet/*.py``.  The checkout's own ``src`` and ``tests`` are the
@@ -66,7 +72,7 @@ from hytet import (  # noqa: E402
     volume_regular,
     volume_sforza,
 )
-from hytet.cli import run  # noqa: E402
+from hytet import cli  # noqa: E402
 
 ACCEPTANCE_SEED = 20240817
 PASSES = 5
@@ -88,7 +94,21 @@ def timed(fn, args) -> tuple[float, list]:
 
 def cli_request(argv: list[str]) -> int:
     """Exit code of one in-process CLI request; its output is discarded."""
-    return run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+    return cli.run(argv, stdout=io.StringIO(), stderr=io.StringIO())
+
+
+def front_end(argv: list[str]) -> tuple:
+    """What ``cli.run`` builds before ``exists``: the lengths and the options."""
+    args = cli._parse_args(argv, None)
+    doc = cli._load_document(args)
+    lengths = cli._lengths_from_document(doc)
+    cli._settings(args, doc)
+    return lengths, args
+
+
+def check_document(report, args) -> int:
+    """Exit code of ``check``'s handler; its document is discarded."""
+    return cli._cmd_check(report, args, io.StringIO(), None)
 
 
 def main() -> None:
@@ -102,6 +122,8 @@ def main() -> None:
     edges = [",".join(f"{k}={v!r}" for k, v in zip(EDGE_KEYS, L.as_tuple())) for L in lengths]
     steps = [(r, 1e-5 * min(1.0, L.l34)) for r, L in zip(reports, lengths)
              if L.l34 + 1e-5 * min(1.0, L.l34) < r.bounds.l2]
+    check_argv = [["check", "--edges", e] for e in edges]
+    parsed = [front_end(argv) for argv in check_argv]
 
     rows = (
         ("exists", exists, [(L,) for L in lengths]),
@@ -123,8 +145,12 @@ def main() -> None:
          [(emb, MonteCarloConfig(seed=k, samples=MC_VALIDATE_SAMPLES))
           for k, emb in enumerate(embeddings[:MC_VALIDATE_CASES])]),
         ("lobachevsky", lobachevsky, [(th.th12,) for th in angles]),
+        ("cli.run check: front end", front_end, [(argv,) for argv in check_argv]),
+        ("cli.run check: exists", exists, [(L,) for L, _ in parsed]),
+        ("cli.run check: document text", check_document,
+         [(exists(L), args) for L, args in parsed]),
         *((f"cli.run {command}", cli_request, [([command, "--edges", e],) for e in edges])
-          for command in ("check", "angles", "volume", "sweep")),
+          for command in ("angles", "volume", "sweep")),
         ("cli.run validate", cli_request,
          [(["validate", "--edges", e],) for e in edges[:MC_VALIDATE_CASES]]),
     )

@@ -32,6 +32,9 @@ from .errors import DomainError, NotATetrahedronError, NumericalError
 __all__ = ["DihedralAngles", "dihedral_angles", "gram_from_angles"]
 
 ANGLE_KEYS = ("th12", "th13", "th14", "th23", "th24", "th34")
+# (key, k, l, i, j): the angle along edge k-l and the opposite pair (i, j)
+_ANGLE_PAIRS = tuple((key, k, l, *opposite_pair(k, l))
+                     for (k, l), key in zip(EDGE_PAIRS, ANGLE_KEYS))
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class DihedralAngles:
         return {k: getattr(self, k) for k in ANGLE_KEYS}
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, k) for k in ANGLE_KEYS)
+        return (self.th12, self.th13, self.th14, self.th23, self.th24, self.th34)
 
 
 def dihedral_angles(C: CofactorSet) -> DihedralAngles:
@@ -77,9 +80,8 @@ def dihedral_angles(C: CofactorSet) -> DihedralAngles:
         )
 
     clamped = False
-    values = {}
-    for (k, l), key in zip(EDGE_PAIRS, ANGLE_KEYS):
-        i, j = opposite_pair(k, l)
+    values = []
+    for _, k, l, i, j in _ANGLE_PAIRS:
         norm = math.sqrt(diag[i] * diag[j])
         cos_th = -C.c[i][j] / norm
         # not <= also catches NaN; an infinite norm means the cofactors overflowed
@@ -89,8 +91,8 @@ def dihedral_angles(C: CofactorSet) -> DihedralAngles:
         if abs(cos_th) > 1.0:
             cos_th = math.copysign(1.0, cos_th)
             clamped = True
-        values[key] = math.acos(cos_th)
-    return DihedralAngles(**values, clamped=clamped)
+        values.append(math.acos(cos_th))
+    return DihedralAngles(*values, clamped)
 
 
 def gram_from_angles(angles: DihedralAngles) -> Matrix4:
@@ -102,10 +104,9 @@ def gram_from_angles(angles: DihedralAngles) -> Matrix4:
     outside [0, pi].
     """
     g = [[1.0] * 4 for _ in range(4)]
-    for (k, l), key in zip(EDGE_PAIRS, ANGLE_KEYS):
+    for key, _, _, i, j in _ANGLE_PAIRS:
         th = getattr(angles, key)
         if not 0.0 <= th <= math.pi:
             raise DomainError(f"angle {key} = {th!r} outside [0, pi]")
-        i, j = opposite_pair(k, l)
         g[i][j] = g[j][i] = -math.cos(th)
     return tuple(map(tuple, g))

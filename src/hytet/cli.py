@@ -20,10 +20,11 @@ import os
 import sys
 from decimal import Context, Decimal
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from types import SimpleNamespace
 
-from .config import (ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_SAMPLES_MAX, MC_Z_LIMIT,
-                     QUADRATURE_TOL, ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT)
+from .config import (ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_SAMPLES_MAX, MC_Z_LIMIT, QUADRATURE_TOL,
+                     ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT, SWEEP_SAMPLES_MAX)
 # unused here (the report builds E, C and the angles): hytetbench's tracer wraps these names here
 from .angles import dihedral_angles
 from .core import EDGE_KEYS, EdgeLengths, cofactors, edge_matrix_from_lengths, jacobi_residuals
@@ -64,13 +65,15 @@ class _UsageError(Exception):
 
 
 def _format_value(v) -> str:
-    """JSON text of a scalar other than a finite float."""
+    """JSON text of a scalar; floats at 17 significant digits, "inf", "-inf" or null."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return "%.17g" % v
+        return "null" if math.isnan(v) else ('"inf"' if v > 0 else '"-inf"')
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        return "null" if math.isnan(v) else ('"inf"' if v > 0 else '"-inf"')
     if v is None:
         return "null"
     if isinstance(v, str):
@@ -85,53 +88,49 @@ def _dump_json(obj) -> str:
     return "".join(parts)
 
 
-def _write_json(obj, pad: str, parts: list[str]) -> None:
-    """Append the JSON text of obj to parts; pad starts each of its lines."""
-    if isinstance(obj, float) and math.isfinite(obj):
-        parts.append(format(obj, ".17g"))
-    elif isinstance(obj, dict):
+def _write_json(obj, pad: str, parts: list[str], slot: str | None = None) -> None:
+    """Append the JSON text of obj to parts, pad starting each line; a slot replaces each scalar."""
+    if isinstance(obj, dict):
         inner, sep = pad + "  ", "{"
         for k, v in obj.items():
             parts.append(f"{sep}{inner}{encode_basestring_ascii(str(k))}: ")
-            _write_json(v, inner, parts)
+            _write_json(v, inner, parts, slot)
             sep = ","
         parts.append(pad + "}" if obj else "{}")
     elif isinstance(obj, (list, tuple)):
         inner, sep = pad + "  ", "["
         for v in obj:
             parts.append(sep + inner)
-            _write_json(v, inner, parts)
+            _write_json(v, inner, parts, slot)
             sep = ","
         parts.append(pad + "]" if obj else "[]")
     else:
-        parts.append(_format_value(obj))
+        parts.append(_format_value(obj) if slot is None else slot)
 
 
 def _parse_inline_edges(text: str) -> dict:
     out = {}
     for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise _UsageError(f"bad inline edge assignment {part!r}")
-        key, _, value = part.partition("=")
+        key, eq, value = part.partition("=")
         key = key.strip()
-        if key in out:
+        if not eq:  # a blank part is skipped
+            if key:
+                raise _UsageError(f"bad inline edge assignment {key!r}")
+        elif key in out:
             raise _UsageError(f"edge {key} given more than once")
-        out[key] = value.strip()
+        else:
+            out[key] = value.strip()
     return out
 
 
 def _json_object(pairs: list) -> dict:
-    """A JSON object of the input document; an edge name given twice is
-    refused, not overwritten."""
+    """A JSON object of the input document; a key given twice is refused, not overwritten."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        for key in EDGE_KEYS:
-            if keys.count(key) > 1:
-                raise _UsageError(f"edge {key} given more than once")
+        seen = set()  # set.add returns None: the first key met twice is next's
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise _UsageError(f"edge {key} given more than once" if key in EDGE_KEYS
+                          else f"key {key!r} given more than once")
     return obj
 
 
@@ -183,26 +182,26 @@ def _whole(raw) -> int:
 
 
 _float, _int = _decimal(float), _decimal(_whole)
+_EDGE_SET = frozenset(EDGE_KEYS)
 
 
 def _lengths_from_document(doc: dict) -> EdgeLengths:
     edges = doc.get("edges")
     if not isinstance(edges, dict):
         raise _UsageError('input document needs an "edges" object')
-    unknown = sorted(set(edges) - set(EDGE_KEYS))
-    if unknown:
-        raise _UsageError(f"unknown edge names: {', '.join(unknown)}")
-    missing = [k for k in EDGE_KEYS if k not in edges]
-    if missing:
-        raise _UsageError(f"missing edge names: {', '.join(missing)}")
-    values = {}
+    if edges.keys() != _EDGE_SET:
+        unknown = sorted(set(edges) - _EDGE_SET)
+        missing = [k for k in EDGE_KEYS if k not in edges]
+        raise _UsageError(f"unknown edge names: {', '.join(unknown)}" if unknown
+                          else f"missing edge names: {', '.join(missing)}")
+    values = []
     for key in EDGE_KEYS:
         raw = edges[key]
         try:
-            values[key] = _float(raw)
+            values.append(_float(raw))
         except (TypeError, ValueError, OverflowError):
             raise _UsageError(f"edge {key} does not parse as a number: {raw!r}")
-    return EdgeLengths(**values)  # DomainError on a negative or non-finite length
+    return EdgeLengths(*values)  # DomainError on a negative or non-finite length
 
 
 # setting: (environment variable, default, type); a flag beats the input
@@ -221,17 +220,16 @@ def _settings(args, doc: dict) -> None:
     for name, env_key, default, cast in _SETTINGS:
         if getattr(args, name) is not None:
             continue
-        if name in doc_cfg:
-            source, raw = f"config {name}", doc_cfg[name]
-        elif env_key in os.environ:
-            source, raw = f"environment {env_key}", os.environ[env_key]
-        else:
+        in_doc = name in doc_cfg
+        raw = doc_cfg[name] if in_doc else os.environ.get(env_key)
+        if raw is None and not in_doc:
             setattr(args, name, default)
             continue
         try:
             setattr(args, name, cast(raw))
         except (TypeError, ValueError, OverflowError):
-            raise _UsageError(f"{source} does not parse")
+            raise _UsageError(f"config {name} does not parse" if in_doc
+                              else f"environment {env_key} does not parse")
     if not args.tol > 0:  # NaN too
         raise _UsageError("tolerance must be positive")
     if args.mc_samples < 2:
@@ -241,22 +239,46 @@ def _settings(args, doc: dict) -> None:
         raise _UsageError(f"mc-samples must be <= {MC_SAMPLES_MAX}")
     if not 0 <= args.seed < 2 ** 64:
         raise _UsageError("seed must fit in 64 unsigned bits")
+    if args.samples > SWEEP_SAMPLES_MAX:  # volume_profile holds every row in memory
+        raise _UsageError(f"samples must be <= {SWEEP_SAMPLES_MAX}")
+
+
+_FLAGS = ("exists", "degenerate", "tri_123_ok", "tri_124_ok", "l34_in_range")
+_BOUNDS = ("C", "S", "l1", "l2", "clamped_sqrt")
+_flags, _bounds = attrgetter(*_FLAGS), attrgetter(*_BOUNDS)
+_TEMPLATES: dict[tuple, str] = {}  # document shape: its JSON line, a %s for each scalar
 
 
 def _report_doc(command: str, report) -> dict:
-    """Opening keys of the output document of a command that ran exists."""
-    return {"input": {"edges": report.lengths.as_dict()}, "command": command,
-            "existence": _existence_block(report)}
+    """Opening keys of a command's output document; the exit-2 "error" one has no input echo."""
+    echo = {} if command == "error" else {"input": {"edges": report.lengths.as_dict()}}
+    return {**echo, "command": command, "existence": _existence_block(report)}
 
 
 def _existence_block(report) -> dict:
-    block = {k: getattr(report, k)
-             for k in ("exists", "degenerate", "tri_123_ok", "tri_124_ok", "l34_in_range")}
+    block = dict(zip(_FLAGS, _flags(report)))
     block.update(failed=list(report.failed), slacks=dict(report.slacks))
     if report.bounds is not None:
-        block["bounds"] = {k: getattr(report.bounds, k)
-                           for k in ("C", "S", "l1", "l2", "clamped_sqrt")}
+        block["bounds"] = dict(zip(_BOUNDS, _bounds(report.bounds)))
     return block
+
+
+def _emit_report(command: str, report, args, out, blocks=dict, leaves=(), *shape) -> None:
+    """_emit of command's document on report: _report_doc's keys, then those of
+    blocks(), whose scalars in order are leaves.  The JSON fills a template cached
+    per shape: command, the report's failure count and bounds, and shape."""
+    if args.format == "csv":
+        return _emit({**_report_doc(command, report), **blocks()}, args, out)
+    shape = (command, len(report.failed), report.bounds is None, *shape)
+    if shape not in _TEMPLATES:  # JSON text escapes NUL, so each NUL left marks a scalar
+        parts = []
+        _write_json({**_report_doc(command, report), **blocks()}, "\n", parts, "\0")
+        _TEMPLATES[shape] = "".join(parts).replace("%", "%%").replace("\0", "%s") + "\n"
+    bounds = () if report.bounds is None else _bounds(report.bounds)
+    echo = () if command == "error" else report.lengths.as_tuple()
+    leaves = (*echo, command, *_flags(report), *report.failed, *report.slacks.values(), *bounds,
+              *leaves)
+    out.write(_TEMPLATES[shape] % tuple(map(_format_value, leaves)))
 
 
 def _warn_unconverged(err, converged: bool, what: str) -> None:
@@ -292,14 +314,17 @@ def _angles_block(report) -> dict:
 
 
 def _cmd_check(report, args, out, err) -> int:
-    _emit(_report_doc("check", report), args, out)
+    _emit_report("check", report, args, out)
     return EXIT_OK if report.exists else EXIT_NOT_A_TETRAHEDRON
 
 
 def _cmd_angles(report, args, out, err) -> int:
     if not report.exists:
         raise ExistenceError.from_report(report)
-    _emit({**_report_doc("angles", report), **_angles_block(report)}, args, out)
+    C, th = report.cofactors, report.angles
+    radians = th.as_tuple()  # then _angles_block's scalars in its order
+    _emit_report("angles", report, args, out, lambda: _angles_block(report),
+                 (*radians, *map(math.degrees, radians), th.clamped, C.delta, *C.diagonal))
     return EXIT_OK
 
 
@@ -331,13 +356,16 @@ def _battery(command: str, report, args, err):
 
 
 def _cmd_volume(report, args, out, err) -> int:
-    if args.validate:
-        doc, gap, z, _ = _battery("volume", report, args, err)
-        doc["agreement"] = {"edge_vs_sforza": _check(gap, ROUTE_GAP_LIMIT, "gap"),
-                            "monte_carlo_z": _check(z, MC_Z_LIMIT, "z")}
-    else:
-        doc = _report_doc("volume", report)
-        doc["volume"] = {"edge_integral": _volume_block(volume_edges(report, args.tol), err)}
+    if not args.validate:
+        res = volume_edges(report, args.tol)
+        block = _volume_block(res, err)
+        _emit_report("volume", report, args, out, lambda: {"volume": {"edge_integral": block}},
+                     (res.value, res.error_estimate, res.evaluations, res.route,
+                      *res.diagnostics.values()), *res.diagnostics)
+        return EXIT_OK
+    doc, gap, z, _ = _battery("volume", report, args, err)
+    doc["agreement"] = {"edge_vs_sforza": _check(gap, ROUTE_GAP_LIMIT, "gap"),
+                        "monte_carlo_z": _check(z, MC_Z_LIMIT, "z")}
     _emit(doc, args, out)
     return EXIT_OK
 
@@ -516,7 +544,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     except NotATetrahedronError as e:
         print(f"hytet: not a tetrahedron: {e}", file=err)
         if getattr(e, "report", None) is not None:  # an ExistenceError's report
-            _emit({"command": "error", "existence": _existence_block(e.report)}, args, out)
+            _emit_report("error", e.report, args, out)
         return EXIT_NOT_A_TETRAHEDRON
     except (NumericalError, OverflowError) as e:
         print(f"hytet: numerical failure: {e}", file=err)

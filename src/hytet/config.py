@@ -36,3 +36,5 @@ ROUTE_GAP_LIMIT = 1e-6
 MC_Z_LIMIT = 4.0
 SCHLAFLI_LIMIT = 1e-8
 MC_SAMPLES_MAX = 10**8  # 4.4-8 s at 44-82 ms per 10^6 on one CPU (scripts/layer_times.py)
+# `sweep --samples`: 6.7-7.1 s and a 64 MB peak resident set at 10^5 rows on one CPU
+SWEEP_SAMPLES_MAX = 10**5

@@ -72,6 +72,8 @@ class EdgeLengths:
     def __post_init__(self):
         for name in EDGE_KEYS:
             value = getattr(self, name)
+            if type(value) is float and 0.0 <= value < math.inf:
+                continue
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise DomainError(f"edge length {name} must be finite, got {value!r}")
             if value < 0:
@@ -82,7 +84,7 @@ class EdgeLengths:
         return {k: getattr(self, k) for k in EDGE_KEYS}
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, k) for k in EDGE_KEYS)
+        return (self.l12, self.l13, self.l14, self.l23, self.l24, self.l34)
 
     def length_matrix(self) -> Matrix4:
         """Symmetric 4x4 matrix of pairwise lengths, zero diagonal."""

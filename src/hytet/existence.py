@@ -102,10 +102,6 @@ class ExistenceReport:
         return angles.dihedral_angles(self.cofactors)
 
 
-def _near_zero(slack: float, scale: float) -> bool:
-    return abs(slack) <= BOUNDARY_TOL * (1.0 + abs(scale))
-
-
 def _faces(l12: float, l13: float, l14: float, l23: float,
            l24: float) -> tuple[dict[str, float], list[str], bool]:
     """Signed slacks of the four face inequalities, the names of those
@@ -117,9 +113,9 @@ def _faces(l12: float, l13: float, l14: float, l23: float,
         "tri_124_sum": l14 + l24 - l12,
         "tri_124_diff": l12 - abs(l14 - l24),
     }
-    scale = max(l12, l13, l14, l23, l24)
-    failed = [k for k, v in slacks.items() if v < 0 and not _near_zero(v, scale)]
-    return slacks, failed, any(_near_zero(v, scale) for v in slacks.values())
+    tol = BOUNDARY_TOL * (1.0 + max(l12, l13, l14, l23, l24))  # a slack within it is flat
+    failed = [k for k, v in slacks.items() if v < -tol]
+    return slacks, failed, any(abs(v) <= tol for v in slacks.values())
 
 
 def _face_ok(face: str, failed: list[str]) -> bool:
@@ -181,18 +177,18 @@ def exists(lengths: core.EdgeLengths) -> ExistenceReport:
     collapse (vertices 1 and 2 coincide); such inputs are reported as
     nonexistent and degenerate.
     """
-    slacks, failed, degenerate = _faces(*lengths.as_tuple()[:5])
-    hinge_ok = lengths.l12 > BOUNDARY_TOL
+    edges = lengths.as_tuple()
+    slacks, failed, degenerate = _faces(*edges[:5])
+    hinge_ok = edges[0] > BOUNDARY_TOL
     bounds = None
     if hinge_ok and not failed:
-        bounds = l34_bounds(*lengths.as_tuple()[:5])
-        scale = max(lengths.as_tuple())
-        for name, slack in (("l34_lower", lengths.l34 - bounds.l1),
-                            ("l34_upper", bounds.l2 - lengths.l34)):
+        bounds = l34_bounds(*edges[:5])
+        tol = BOUNDARY_TOL * (1.0 + max(edges))
+        for name, slack in (("l34_lower", edges[5] - bounds.l1),
+                            ("l34_upper", bounds.l2 - edges[5])):
             slacks[name] = slack
-            flat = _near_zero(slack, scale)
-            degenerate = degenerate or flat
-            if slack < 0 and not flat:
+            degenerate = degenerate or abs(slack) <= tol
+            if slack < -tol:
                 failed.append(name)
     if not hinge_ok:
         failed.append("l12_positive")

@@ -12,7 +12,7 @@ import pytest
 
 import hytet
 from hytet.cli import run
-from hytet.config import MC_SAMPLES_MAX
+from hytet.config import MC_SAMPLES_MAX, SWEEP_SAMPLES_MAX
 
 ONES = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=1"
 
@@ -188,6 +188,19 @@ class TestInput:
                             '"l23": 1, "l24": 1, "l34": 1}}')
             argv = ["check", str(path)]
         assert invoke(argv) == (64, "", "hytet: input error: edge l12 given more than once\n")
+
+    @pytest.mark.parametrize("text, key", [
+        # the later value used to win silently: l34 = 9 answered, tol = -1 kept
+        ('{"edges": {"l12": 1, "l13": 1, "l14": 1, "l23": 1, "l24": 1, "l34": 1}, '
+         '"edges": {"l12": 1, "l13": 1, "l14": 1, "l23": 1, "l24": 1, "l34": 9}}', "edges"),
+        ('{"edges": {"l12": 1, "l13": 1, "l14": 1, "l23": 1, "l24": 1, "l34": 1}, '
+         '"config": {"tol": 1e-3, "tol": -1}}', "tol"),
+    ], ids=["edges", "config-tol"])
+    def test_repeated_key_anywhere_is_usage_error(self, tmp_path, text, key):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert invoke(["check", str(path)]) == (
+            64, "", f"hytet: input error: key {key!r} given more than once\n")
 
     def test_unknown_subcommand(self):
         code, _, _ = invoke(["frobnicate"])
@@ -423,6 +436,74 @@ class TestJsonLayout:
 }"""
 
 
+class TestJsonTemplates:
+    """check, angles, volume and the exit-2 error document fill a JSON
+    template per document shape; each prints the document its dict
+    functions make, byte for byte, and every float reads back exactly."""
+
+    CASES = {
+        "valid": ONES,
+        "scalene": "l12=2.965137128963416,l13=1.3027372332455953,l14=3.620365722713066,"
+                   "l23=2.7711659744596884,l24=3.3277033833681555,l34=3.444634108222735",
+        "l34_upper": "l12=1,l13=1,l14=1,l23=1,l24=1,l34=2",
+        "l34_lower": "l12=1,l13=1,l14=2,l23=1,l24=1.5,l34=0.5",
+        "tri_123_sum": "l12=3,l13=1,l14=2,l23=1,l24=2,l34=1",
+        "tri_123_diff": "l12=1,l13=3,l14=1,l23=1,l24=1,l34=1",
+        "tri_124_sum": "l12=3,l13=2,l14=1,l23=2,l24=1,l34=1",
+        "tri_124_diff": "l12=1,l13=1,l14=3,l23=1,l24=1,l34=1",
+        "both_faces": "l12=3,l13=1,l14=1,l23=1,l24=1,l34=1",
+        "l12_positive": "l12=0,l13=1,l14=1,l23=1,l24=1,l34=1",
+        "flat": "l12=1,l13=1,l14=1,l23=1,l24=1,l34=0",
+        # at the upper fold bound: a cosine rounds past -1 and is clamped
+        "clamped": "l12=1.9064149151801357,l13=2.251182268856115,l14=2.4060613401405204,"
+                   "l23=2.833105822953446,l24=2.245705866745799,l34=1.7155072822365678",
+    }
+
+    @staticmethod
+    def dict_document(command, edges):
+        """The request's document as `_report_doc` and the block functions make it, or None."""
+        cli = hytet.cli
+        report = hytet.exists(hytet.EdgeLengths(*(float(p.split("=")[1])
+                                                  for p in edges.split(","))))
+        if command == "check":
+            return cli._report_doc("check", report)
+        if not report.exists:
+            return cli._report_doc("error", report)
+        if command == "volume":
+            block = cli._volume_block(hytet.volume_edges(report), io.StringIO())
+            return {**cli._report_doc("volume", report), "volume": {"edge_integral": block}}
+        try:
+            return {**cli._report_doc("angles", report), **cli._angles_block(report)}
+        except hytet.NotATetrahedronError:
+            return None  # a flat fold has no angles, and no report to print
+
+    @pytest.mark.parametrize("command", ["check", "angles", "volume"])
+    def test_every_shape_prints_its_dict_document(self, monkeypatch, command):
+        monkeypatch.setattr(hytet.cli, "_TEMPLATES", {})
+        shapes = set()
+        # each case twice: its shape's template is compiled by the first
+        # request of the shape, which may be an earlier case's, and filled after
+        for case in [*self.CASES, *self.CASES]:
+            edges = self.CASES[case]
+            doc = self.dict_document(command, edges)
+            code, out, _ = invoke([command, "--edges", edges])
+            if doc is None:
+                assert (case, command, code, out) == ("flat", "angles", 2, "")
+                continue
+            assert out == hytet.cli._dump_json(doc) + "\n", case
+            assert json.loads(out) == doc, case  # every float exactly
+            assert code == (0 if doc["existence"]["exists"] else 2)
+            csv_code, csv, _ = invoke([command, "--format", "csv", "--edges", edges])
+            assert (csv_code, csv) == (code, "key,value\n" + "".join(
+                f"{key},{value}\n" for key, value in hytet.cli._flatten(doc))), case
+            shapes.add(tuple(key for key, _ in hytet.cli._flatten(doc)))
+        assert len(hytet.cli._TEMPLATES) == len(shapes)  # one template per key layout
+
+    def test_clamped_case_clamps(self):
+        _, doc, _ = invoke_json(["angles", "--edges", self.CASES["clamped"]])
+        assert doc["angles"]["clamped"] is True
+
+
 class TestSweep:
     def test_csv_shape_and_flat_endpoints(self):
         code, out, _ = invoke(["sweep", "--samples", "9", "--edges", ONES])
@@ -474,6 +555,15 @@ class TestSweep:
         v_code, _, _ = invoke(["volume", "--edges", short])
         assert code == v_code == 0
         assert len(out.strip().splitlines()) == 4
+
+    def test_samples_past_the_cap_are_refused_before_any_row(self, monkeypatch):
+        # volume_profile keeps every row, so a huge grid would run for hours
+        monkeypatch.setattr(hytet.cli, "volume_profile",
+                            lambda *args: pytest.fail("a row was computed"))
+        code, out, err = invoke(["sweep", "--samples", str(SWEEP_SAMPLES_MAX + 1),
+                                 "--edges", ONES])
+        assert (code, out) == (64, "")
+        assert err == f"hytet: input error: samples must be <= {SWEEP_SAMPLES_MAX}\n"
 
     def test_json_format(self):
         code, doc, _ = invoke_json(
