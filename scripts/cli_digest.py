@@ -6,8 +6,7 @@ acceptance seed) and on a fixed set of edge and error cases, all passed
 through ``--edges``.  Two checkouts that print the same digest answer every
 request byte for byte alike, so a change that must not alter the output can
 be checked by running this script on both sides.  The checkout's own
-``src`` and ``tests`` are the ones imported.  The ``HYTET_*`` environment variables are ignored, so the
-digest depends on the code and the platform only.
+``src`` and ``tests`` are the ones imported.
 
 With ``--requests`` it also prints one line per request, ahead of its
 command's digest line: the command, the edges, the exit code and the first
@@ -19,7 +18,6 @@ Usage: python scripts/cli_digest.py [--requests]
 
 import hashlib
 import io
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -90,8 +88,6 @@ def main() -> None:
     per_request = sys.argv[1:] == ["--requests"]
     if sys.argv[1:] and not per_request:
         sys.exit("usage: python scripts/cli_digest.py [--requests]")
-    for name in [k for k in os.environ if k.startswith("HYTET_")]:
-        del os.environ[name]
     total = hashlib.sha256()
     codes: Counter = Counter()
     for command in COMMANDS:

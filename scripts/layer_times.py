@@ -32,7 +32,8 @@ evaluations.
   parsed, the ``--edges`` document read into ``EdgeLengths`` and the
   settings resolved), ``exists``, and the document text (``check``'s
   handler writing the JSON to a discarded buffer).  Each step starts from
-  what the step before it built.
+  what the step before it built.  A line after the table sets the front
+  end beside ``exists``.
 
 The header line also gives the ``src/`` line count, the sum of
 ``wc -l src/hytet/*.py``.  The checkout's own ``src`` and ``tests`` are the
@@ -162,8 +163,10 @@ def main() -> None:
           f"src/ {src_lines:,} lines\n")
     print("| layer | cost per case | mean evaluations |")
     print("| --- | --- | --- |")
+    per_case = {}
     for name, fn, args in rows:
         seconds, results = timed(fn, args)
+        per_case[name] = seconds / len(args)
         if name == MONTE_CARLO:
             print(f"| `{name}` | {1e3 * seconds:.1f} ms | |")
             continue
@@ -174,6 +177,9 @@ def main() -> None:
         per_call = seconds / len(args)
         cost = f"{1e3 * per_call:.2f} ms" if per_call > 1e-3 else f"{1e6 * per_call:.1f} µs"
         print(f"| `{label}` | {cost} | {evals} |")
+    front, test = per_case["cli.run check: front end"], per_case["cli.run check: exists"]
+    print(f"\n`cli.run check`: front end {1e6 * front:.1f} µs, `exists` {1e6 * test:.1f} µs, "
+          f"front end / `exists` {front / test:.2f}")
 
 
 if __name__ == "__main__":

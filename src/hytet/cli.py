@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from decimal import Context, Decimal
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from types import SimpleNamespace
 
-from .config import (ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_SAMPLES_MAX, MC_Z_LIMIT, QUADRATURE_TOL,
-                     ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT, SWEEP_SAMPLES_MAX)
+from .config import (ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_Z_LIMIT, QUADRATURE_TOL, ROUTE_GAP_LIMIT,
+                     SCHLAFLI_LIMIT)
 # unused here (the report builds E, C and the angles): hytetbench's tracer wraps these names here
 from .angles import dihedral_angles
 from .core import EDGE_KEYS, EdgeLengths, cofactors, edge_matrix_from_lengths, jacobi_residuals
@@ -204,43 +203,34 @@ def _lengths_from_document(doc: dict) -> EdgeLengths:
     return EdgeLengths(*values)  # DomainError on a negative or non-finite length
 
 
-# setting: (environment variable, default, type); a flag beats the input
-# document's config key of the setting's name, which beats the environment
-_SETTINGS = (("tol", "HYTET_TOL", QUADRATURE_TOL, _float),
-             ("mc_samples", "HYTET_MC_SAMPLES", DEFAULT_MC_SAMPLES, _int),
-             ("seed", "HYTET_SEED", DEFAULT_SEED, _int))
+# setting: its default; a flag beats the input document's config key of the
+# setting's name, which beats the default
+_DEFAULTS = {"tol": QUADRATURE_TOL, "mc_samples": DEFAULT_MC_SAMPLES, "seed": DEFAULT_SEED}
 
 
 def _settings(args, doc: dict) -> None:
-    """Resolve the settings no flag gave onto args, each from the input
-    document, the environment or its default, in that order."""
+    """Resolve the settings args.command reads onto args, each from its flag,
+    the input document's config key of its name or its default, in that order;
+    for Monte Carlo's two, args.monte_carlo holds their checked config."""
     doc_cfg = doc.get("config", {})
     if not isinstance(doc_cfg, dict):
         raise _UsageError('input document "config" must be a JSON object')
-    for name, env_key, default, cast in _SETTINGS:
+    reads = _SETTINGS[args.command]
+    for name in doc_cfg:
+        if name not in reads:
+            raise _UsageError(f"{args.command} reads no config key {name!r}")
+    for name, cast in reads.items():
         if getattr(args, name) is not None:
             continue
-        in_doc = name in doc_cfg
-        raw = doc_cfg[name] if in_doc else os.environ.get(env_key)
-        if raw is None and not in_doc:
-            setattr(args, name, default)
-            continue
         try:
-            setattr(args, name, cast(raw))
+            setattr(args, name, cast(doc_cfg[name]) if name in doc_cfg else _DEFAULTS[name])
         except (TypeError, ValueError, OverflowError):
-            raise _UsageError(f"config {name} does not parse" if in_doc
-                              else f"environment {env_key} does not parse")
-    if not args.tol > 0:  # NaN too
+            raise _UsageError(f"config {name} does not parse")
+    # the quadrature sees tol only when it integrates, so it is checked here
+    if "tol" in reads and not args.tol > 0:  # NaN too
         raise _UsageError("tolerance must be positive")
-    if args.mc_samples < 2:
-        # the Monte Carlo standard error needs two samples
-        raise _UsageError("mc-samples must be >= 2")
-    if args.mc_samples > MC_SAMPLES_MAX:
-        raise _UsageError(f"mc-samples must be <= {MC_SAMPLES_MAX}")
-    if not 0 <= args.seed < 2 ** 64:
-        raise _UsageError("seed must fit in 64 unsigned bits")
-    if args.samples > SWEEP_SAMPLES_MAX:  # volume_profile holds every row in memory
-        raise _UsageError(f"samples must be <= {SWEEP_SAMPLES_MAX}")
+    if "seed" in reads:  # DomainError on a seed or sample count out of range
+        args.monte_carlo = MonteCarloConfig(seed=args.seed, samples=args.mc_samples)
 
 
 _FLAGS = ("exists", "degenerate", "tri_123_ok", "tri_124_ok", "l34_in_range")
@@ -263,13 +253,13 @@ def _existence_block(report) -> dict:
     return block
 
 
-def _emit_report(command: str, report, args, out, blocks=dict, leaves=(), *shape) -> None:
+def _emit_report(command: str, report, args, out, blocks=dict, leaves=()) -> None:
     """_emit of command's document on report: _report_doc's keys, then those of
     blocks(), whose scalars in order are leaves.  The JSON fills a template cached
-    per shape: command, the report's failure count and bounds, and shape."""
+    per shape: command, the report's failure count and whether it has bounds."""
     if args.format == "csv":
         return _emit({**_report_doc(command, report), **blocks()}, args, out)
-    shape = (command, len(report.failed), report.bounds is None, *shape)
+    shape = (command, len(report.failed), report.bounds is None)
     if shape not in _TEMPLATES:  # JSON text escapes NUL, so each NUL left marks a scalar
         parts = []
         _write_json({**_report_doc(command, report), **blocks()}, "\n", parts, "\0")
@@ -346,7 +336,7 @@ def _battery(command: str, report, args, err):
     blocks = _angles_block(report)
     sf = volume_sforza(report.angles, args.tol)
     emb = embed_vertices(report.edge_matrix)
-    mc = volume_monte_carlo(emb, MonteCarloConfig(seed=args.seed, samples=args.mc_samples))
+    mc = volume_monte_carlo(emb, args.monte_carlo)
     doc = _report_doc(command, report)
     doc["volume"] = {"edge_integral": _volume_block(res, err),
                      "sforza": _volume_block(sf, err), "monte_carlo": _volume_block(mc, err)}
@@ -361,7 +351,7 @@ def _cmd_volume(report, args, out, err) -> int:
         block = _volume_block(res, err)
         _emit_report("volume", report, args, out, lambda: {"volume": {"edge_integral": block}},
                      (res.value, res.error_estimate, res.evaluations, res.route,
-                      *res.diagnostics.values()), *res.diagnostics)
+                      *res.diagnostics.values()))
         return EXIT_OK
     doc, gap, z, _ = _battery("volume", report, args, err)
     doc["agreement"] = {"edge_vs_sforza": _check(gap, ROUTE_GAP_LIMIT, "gap"),
@@ -446,30 +436,27 @@ _COMMANDS = {
     "sweep": (_cmd_sweep, "table of (t, dV/dt, V) across the admissible interval"),
     "validate": (_cmd_validate, "full property battery with independent oracles"),
 }
-# option: (attribute, value parser or None for a flag, help, the one command
-# that takes it or None); one table parses argv and writes the usage text
+# option: (attribute, value parser or None for a flag, help, the commands that
+# take it or None for every one); one table parses argv, writes the usage text
+# and names the settings, and config keys, each command reads
+_MONTE_CARLO = ("volume", "validate")
 _OPTIONS = {
     "--edges": ("edges", str, "inline lengths: l12=..,l13=..,l14=..,l23=..,l24=..,l34=..", None),
-    "--tol": ("tol", _float, f"quadrature tolerance (default {QUADRATURE_TOL:g}, env HYTET_TOL)",
-              None),
-    "--mc-samples": ("mc_samples", _int, "Monte Carlo sample count (env HYTET_MC_SAMPLES)", None),
-    "--seed": ("seed", _int, "Monte Carlo seed (env HYTET_SEED)", None),
+    "--tol": ("tol", _float, f"quadrature tolerance (default {QUADRATURE_TOL:g})",
+              ("volume", "sweep", "validate")),
+    "--mc-samples": ("mc_samples", _int, f"Monte Carlo sample count (default {DEFAULT_MC_SAMPLES})",
+                     _MONTE_CARLO),
+    "--seed": ("seed", _int, f"Monte Carlo seed (default {DEFAULT_SEED})", _MONTE_CARLO),
     "--format": ("format", str, "json or csv (default csv for sweep, json otherwise)", None),
-    "--validate": ("validate", None, "add Sforza and Monte Carlo cross-checks", "volume"),
-    "--samples": ("samples", _int, f"grid size (default {DEFAULT_SWEEP_SAMPLES})", "sweep"),
+    "--validate": ("validate", None, "add Sforza and Monte Carlo cross-checks", ("volume",)),
+    "--samples": ("samples", _int, f"grid size (default {DEFAULT_SWEEP_SAMPLES})", ("sweep",)),
     "--help": ("help", None, "print this usage text and exit (also -h)", None),
 }
-_TABLES = {command: {name: spec for name, spec in _OPTIONS.items() if spec[3] in (None, command)}
-           for command in _COMMANDS}
-
-
-def _option(token: str, table) -> str:
-    """The one option name in table that token abbreviates; -h is --help."""
-    names = [name for name in table if name.startswith(token)] if token[:2] == "--" else []
-    if len(names) != 1 and token != "-h":
-        raise _UsageError(f"ambiguous option {token}: {' or '.join(names)}" if names
-                          else f"unrecognized option {token}")
-    return names[0] if names else "--help"
+_TABLES = {command: {name: spec for name, spec in _OPTIONS.items()
+                     if spec[3] is None or command in spec[3]} for command in _COMMANDS}
+# command: {setting it reads: its parser}
+_SETTINGS = {command: {attr: parse for attr, parse, _, _ in table.values() if attr in _DEFAULTS}
+             for command, table in _TABLES.items()}
 
 
 def _help(command) -> str:
@@ -487,13 +474,14 @@ def _help(command) -> str:
 def _parse_args(argv: list[str], out):
     """The request's command, input (a path, - for stdin, or None) and one
     attribute per option.  `--name value` and `--name=value` both set an
-    option, the last one wins, and `--` ends the options.  On -h or --help
-    the usage text goes to out and the result is None."""
+    option named in full, the last one wins, and `--` ends the options.  On
+    -h or --help the usage text goes to out and the result is None."""
     command = argv[0] if argv else ""
     if command not in _COMMANDS:
         if command[:1] != "-":
             raise _UsageError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
-        _option(command, ("--help",))
+        if command not in ("-h", "--help"):
+            raise _UsageError(f"unrecognized option {command}")
         print(_help(None), file=out)
         return None
     table, inputs, tokens = _TABLES[command], [], iter(argv[1:])
@@ -507,7 +495,10 @@ def _parse_args(argv: list[str], out):
             inputs.append(token)
         else:
             name, eq, value = token.partition("=")
-            attr, parse, _, _ = table[name if name in table else _option(name, table)]
+            spec = table.get("--help" if name == "-h" else name)
+            if spec is None:
+                raise _UsageError(f"unrecognized option {name}")
+            attr, parse, _, _ = spec
             if parse is None and eq:
                 raise _UsageError(f"{name} takes no value")
             if attr == "help":

@@ -25,7 +25,8 @@ PIVOT_TOL = 1e-10
 
 # The quadratures' accuracy target: the summed error estimate is at most
 # tol * max(1, |value|).  The tight one is for results that feed a finite
-# difference (`validate`'s Schlafli check); `--tol` sets the other per request.
+# difference (`validate`'s Schlafli check); the `--tol` of `volume`, `sweep` and
+# `validate` sets the other per request.
 QUADRATURE_TOL = 1e-10
 TIGHT_QUADRATURE_TOL = 1e-13
 
@@ -36,5 +37,6 @@ ROUTE_GAP_LIMIT = 1e-6
 MC_Z_LIMIT = 4.0
 SCHLAFLI_LIMIT = 1e-8
 MC_SAMPLES_MAX = 10**8  # 4.4-8 s at 44-82 ms per 10^6 on one CPU (scripts/layer_times.py)
-# `sweep --samples`: 6.7-7.1 s and a 64 MB peak resident set at 10^5 rows on one CPU
+# `volume_profile`'s sample cap (`sweep --samples`): 6.7-7.1 s and a 64 MB peak
+# resident set at 10^5 rows on one CPU
 SWEEP_SAMPLES_MAX = 10**5

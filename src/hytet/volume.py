@@ -89,7 +89,7 @@ from dataclasses import dataclass, field, replace
 
 from . import angles, core, quadrature
 from .angles import DihedralAngles, gram_from_angles
-from .config import BOUNDARY_TOL, QUADRATURE_TOL, TIGHT_QUADRATURE_TOL
+from .config import BOUNDARY_TOL, QUADRATURE_TOL, SWEEP_SAMPLES_MAX, TIGHT_QUADRATURE_TOL
 from .core import EdgeLengths, cofactor4, det4
 from .errors import (
     DomainError,
@@ -350,7 +350,7 @@ def volume_edges(
         "degenerate": report.degenerate,
     }
     if not l1 < l34 < l2:
-        diagnostics["guarded_nodes"] = 0
+        diagnostics.update(guarded_nodes=0, clamped_negative=False, converged=True)
         return VolumeResult(0.0, 0.0, 0, "edge_integral", diagnostics)
 
     outcome = integ.integral(l1 if l34 - l1 <= l2 - l34 else l2, l34, quad_tol)
@@ -374,11 +374,13 @@ def volume_profile(
     The grid runs between the fold bounds l1 and l2, where V vanishes and
     dV/dt is reported as +inf and -inf; V sums one quadrature per segment.
     ``lengths`` may be their ``exists`` report; l34 takes part only in the
-    existence check.
+    existence check.  ``samples`` runs from 2 to ``SWEEP_SAMPLES_MAX``, which
+    bounds the rows held in memory; it is checked before the lengths.
     """
+    if not 2 <= samples <= SWEEP_SAMPLES_MAX:
+        raise DomainError(f"a volume profile needs 2 to {SWEEP_SAMPLES_MAX} samples, "
+                          f"got {samples!r}")
     _, integ = _edge_integrand(lengths)
-    if samples < 2:
-        raise DomainError(f"a volume profile needs at least 2 samples, got {samples!r}")
     l1, l2 = integ.l1, integ.l2
     step = (l2 - l1) / (samples - 1)
     rows = VolumeProfile([(l1, math.inf, 0.0)])
@@ -464,8 +466,8 @@ def volume_sforza(angles: DihedralAngles, quad_tol: float = QUADRATURE_TOL) -> V
     if d_start >= 0.0:
         if d_start <= BOUNDARY_TOL * 16.0:
             # flat (zero-curvature) data: the integral is empty
-            return VolumeResult(0.0, 0.0, 0, "sforza",
-                                {"t0": th34, "det_at_th34": d_start})
+            return VolumeResult(0.0, 0.0, 0, "sforza", {
+                "t0": th34, "det_at_th34": d_start, "clamped_negative": False, "converged": True})
         raise InconsistentAnglesError(
             f"determinant of the angle Gram matrix is {d_start!r} >= 0 at "
             "the given angles; not a compact hyperbolic tetrahedron"

@@ -206,15 +206,16 @@ class TestInput:
         code, _, _ = invoke(["frobnicate"])
         assert code == 64
 
-    def test_env_seed_respected_and_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("HYTET_SEED", "11")
-        argv = ["volume", "--validate", "--mc-samples", "20000", "--edges", ONES]
-        _, from_env, _ = invoke_json(argv)
-        assert from_env["volume"]["monte_carlo"]["diagnostics"]["seed"] == 11
-        _, from_flag, _ = invoke_json(argv + ["--seed", "5"])
-        assert from_flag["volume"]["monte_carlo"]["diagnostics"]["seed"] == 5
+    def test_environment_is_not_read(self, monkeypatch):
+        # these variables repeated a flag and a config key, and left no trace
+        # in the output
+        plain = invoke(["validate", "--edges", ONES])
+        assert plain[0] == 0
+        for name, value in [("HYTET_SEED", "11"), ("HYTET_MC_SAMPLES", "1"), ("HYTET_TOL", "-1")]:
+            monkeypatch.setenv(name, value)
+            assert invoke(["validate", "--edges", ONES]) == plain, name
 
-    def test_one_monte_carlo_sample_is_usage_error(self, tmp_path, monkeypatch):
+    def test_one_monte_carlo_sample_is_usage_error(self, tmp_path):
         # one sample has no standard error, so z would pass vacuously
         flag = ["--mc-samples", "1", "--edges", ONES]
         assert invoke(["validate"] + flag)[0] == 64
@@ -223,11 +224,10 @@ class TestInput:
                "config": {"mc_samples": 1}}
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
-        assert invoke(["validate", str(path)])[0] == 64
-        monkeypatch.setenv("HYTET_MC_SAMPLES", "1")
-        code, _, err = invoke(["validate", "--edges", ONES])
+        code, _, err = invoke(["validate", str(path)])
         assert code == 64
-        assert "mc-samples must be >= 2" in err
+        assert err == (f"hytet: input error: samples must be an integer in [2, {MC_SAMPLES_MAX}],"
+                       " got 1\n")
         code, doc, _ = invoke_json(["validate", "--mc-samples", "2", "--edges", ONES])
         assert code != 64
         assert doc["volume"]["monte_carlo"]["error_estimate"] > 0
@@ -237,9 +237,7 @@ class TestInput:
         ("flag", 10 ** 400),
         ("config", MC_SAMPLES_MAX + 1),
         ("config", 1e300),  # an integral float, a 301-digit count
-        ("environment", MC_SAMPLES_MAX + 1),
-        ("environment", 10 ** 400),
-    ], ids=["flag", "flag-1e400", "config", "config-1e300", "env", "env-1e400"])
+    ], ids=["flag", "flag-1e400", "config", "config-1e300"])
     def test_too_many_monte_carlo_samples_is_usage_error(
             self, tmp_path, monkeypatch, source, samples):
         drawn = []
@@ -249,22 +247,22 @@ class TestInput:
         argv = ["validate"]
         if source == "flag":
             argv += ["--mc-samples", str(samples)]
-        elif source == "config":
-            doc["config"] = {"mc_samples": samples}
         else:
-            monkeypatch.setenv("HYTET_MC_SAMPLES", str(samples))
+            doc["config"] = {"mc_samples": samples}
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
         for command in (argv, ["volume", "--validate", *argv[1:]]):
             code, out, err = invoke([*command, str(path)])
             assert (code, out) == (64, "")
-            assert err == f"hytet: input error: mc-samples must be <= {MC_SAMPLES_MAX}\n"
+            assert err == (f"hytet: input error: samples must be an integer in "
+                           f"[2, {MC_SAMPLES_MAX}], got {int(samples)!r}\n")
         assert drawn == []
 
     def test_sample_cap_itself_is_accepted(self):
-        # check draws no sample, so the cap is accepted at no cost
-        assert invoke(["check", "--mc-samples", str(MC_SAMPLES_MAX), "--edges", ONES])[0] == 0
-        assert invoke(["check", "--mc-samples", str(MC_SAMPLES_MAX + 1),
+        # volume checks the count even without --validate, when it draws no
+        # sample, so the cap is accepted at no cost
+        assert invoke(["volume", "--mc-samples", str(MC_SAMPLES_MAX), "--edges", ONES])[0] == 0
+        assert invoke(["volume", "--mc-samples", str(MC_SAMPLES_MAX + 1),
                        "--edges", ONES])[0] == 64
 
     @pytest.mark.parametrize("config, message", [
@@ -285,8 +283,35 @@ class TestInput:
                "config": config}
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
-        code, out, err = invoke(["check", str(path)])
+        code, out, err = invoke(["validate", str(path)])
         assert (code, out, err) == (64, "", f"hytet: input error: {message}\n")
+
+    @pytest.mark.parametrize("command, key", [
+        ("check", "tol"), ("check", "seed"), ("angles", "mc_samples"), ("sweep", "seed"),
+        ("sweep", "mc_samples"), ("volume", "samples"), ("validate", "mc_sample"),
+        ("validate", "validate"),
+    ])
+    def test_config_key_the_command_does_not_read_is_usage_error(self, tmp_path, command, key):
+        # an unknown or misspelt key used to be ignored without a word
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"edges": {k: 1.0 for k in hytet.EDGE_KEYS},
+                                    "config": {key: 2}}))
+        assert invoke([command, str(path)]) == (
+            64, "", f"hytet: input error: {command} reads no config key {key!r}\n")
+
+    @pytest.mark.parametrize("command, keys", [
+        ("check", {}), ("angles", {}), ("sweep", {"tol": 1e-9}),
+        ("volume", {"tol": 1e-9, "mc_samples": 2000, "seed": 7}),
+        ("validate", {"tol": 1e-9, "mc_samples": 2000, "seed": 7}),
+    ])
+    def test_each_command_reads_its_own_config_keys(self, tmp_path, command, keys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"edges": {k: 1.0 for k in hytet.EDGE_KEYS},
+                                    "config": keys}))
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in keys.items()]
+        code, out, err = invoke([command, str(path)])
+        assert (code, err) == (0, "")
+        assert invoke([command, *flags, "--edges", ONES]) == (code, out, err)
 
     def test_integral_config_numbers_are_accepted(self, tmp_path):
         doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")},
@@ -314,10 +339,10 @@ class TestInput:
     def test_number_text_must_be_an_ascii_decimal(self, tmp_path, monkeypatch, source, text):
         # float and int read these as 10, 1 and 3
         doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")}}
-        argv = ["check", str(tmp_path / "input.json")]
+        argv = ["validate", str(tmp_path / "input.json")]
         message = f"edge l12 does not parse as a number: {text!r}"
         if source == "edges":
-            argv = ["check", "--edges", f"l12={text}" + ONES[len("l12=1"):]]
+            argv = ["validate", "--edges", f"l12={text}" + ONES[len("l12=1"):]]
         elif source == "document":
             doc["edges"]["l12"] = text
         elif source == "flag":
@@ -326,9 +351,12 @@ class TestInput:
         elif source == "config":
             doc["config"] = {"mc_samples": text}
             message = "config mc_samples does not parse"
-        else:
+        else:  # no setting reads the environment, which so has no number text to refuse
+            (tmp_path / "input.json").write_text(json.dumps(doc))
+            plain = invoke(argv)
             monkeypatch.setenv("HYTET_MC_SAMPLES", text)
-            message = "environment HYTET_MC_SAMPLES does not parse"
+            assert plain[0] == 0 and invoke(argv) == plain
+            return
         (tmp_path / "input.json").write_text(json.dumps(doc))
         assert invoke(argv) == (64, "", f"hytet: input error: {message}\n")
 
@@ -344,7 +372,8 @@ class TestInput:
     def test_whole_number_text_reads_as_its_json_number(
             self, tmp_path, monkeypatch, name, source, text, number):
         # one parser on every path; it reads text exactly, so the largest seed
-        # stays 2**64 - 1, where a float would round it up to 2**64
+        # stays 2**64 - 1, where a float would round it up to 2**64.  The
+        # environment is no path: a variable of the setting's name changes nothing
         path = tmp_path / "input.json"
         flag = "--" + name.replace("_", "-")
 
@@ -357,15 +386,18 @@ class TestInput:
                 argv.append(f"{flag}={value}")
             elif source == "config":
                 doc["config"] = {name: value}
-            else:
+            elif value is not None:
                 monkeypatch.setenv(f"HYTET_{name.upper()}", str(value))
             path.write_text(json.dumps(doc))
             return invoke(argv)
 
+        if source == "environment":
+            plain = request(None)
+            assert plain[0] == 0 and request(text) == plain
+            return
         if number is None:
             message = {"flag": f"bad or missing value for {flag}: {text!r}",
-                       "config": f"config {name} does not parse",
-                       "environment": f"environment HYTET_{name.upper()} does not parse"}[source]
+                       "config": f"config {name} does not parse"}[source]
             assert request(text) == (64, "", f"hytet: input error: {message}\n")
             return
         answer = request(text)
@@ -558,12 +590,20 @@ class TestSweep:
 
     def test_samples_past_the_cap_are_refused_before_any_row(self, monkeypatch):
         # volume_profile keeps every row, so a huge grid would run for hours
-        monkeypatch.setattr(hytet.cli, "volume_profile",
-                            lambda *args: pytest.fail("a row was computed"))
+        monkeypatch.setattr(hytet.quadrature, "integrate",
+                            lambda *args: pytest.fail("a quadrature ran"))
         code, out, err = invoke(["sweep", "--samples", str(SWEEP_SAMPLES_MAX + 1),
                                  "--edges", ONES])
         assert (code, out) == (64, "")
-        assert err == f"hytet: input error: samples must be <= {SWEEP_SAMPLES_MAX}\n"
+        assert err == (f"hytet: input error: a volume profile needs 2 to {SWEEP_SAMPLES_MAX} "
+                       f"samples, got {SWEEP_SAMPLES_MAX + 1}\n")
+
+    def test_one_sample_is_refused_before_the_existence_test(self):
+        # these lengths bound no tetrahedron, which exited 2 before the grid was checked
+        far = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=2"
+        assert invoke(["sweep", "--samples", "1", "--edges", far]) == (
+            64, "", f"hytet: input error: a volume profile needs 2 to {SWEEP_SAMPLES_MAX} "
+                    "samples, got 1\n")
 
     def test_json_format(self):
         code, doc, _ = invoke_json(
@@ -647,21 +687,42 @@ class TestQuadratureWarning:
     def test_unconverged_quadrature_warns_on_stderr(self, command, monkeypatch):
         from hytet import quadrature
 
-        code, out, err = invoke([*command, "--mc-samples", "2000", "--edges", ONES])
+        argv = [*command, *([] if command == ["sweep"] else ["--mc-samples", "2000"]),
+                "--edges", ONES]
+        code, out, err = invoke(argv)
         assert (code, err) == (0, "")
         integrate = quadrature.integrate
         monkeypatch.setattr(quadrature, "integrate", lambda *args: dataclasses.replace(
             integrate(*args), converged=False))
-        code, capped, err = invoke([*command, "--mc-samples", "2000", "--edges", ONES])
+        code, capped, err = invoke(argv)
         assert code == 0
         assert err.startswith("hytet: warning:") and "panel cap" in err
         assert capped == out.replace('"converged": true', '"converged": false')
 
 
 class TestArgv:
-    """The argv contract: `--name value` or `--name=value`, the last of a
-    repeated option wins, a unique prefix names an option, `--` ends the
-    options, and every other misuse is a usage error."""
+    """The argv contract: `--name value` or `--name=value` with the name in
+    full, the last of a repeated option wins, `--` ends the options, and every
+    other misuse is a usage error."""
+
+    OWN = {
+        "check": ["--edges", "--format", "--help"],
+        "angles": ["--edges", "--format", "--help"],
+        "volume": ["--edges", "--tol", "--mc-samples", "--seed", "--format", "--validate",
+                   "--help"],
+        "sweep": ["--edges", "--tol", "--format", "--samples", "--help"],
+        "validate": ["--edges", "--tol", "--mc-samples", "--seed", "--format", "--help"],
+    }
+
+    @pytest.mark.parametrize("command", OWN)
+    def test_each_command_takes_exactly_its_own_options(self, command):
+        code, out, _ = invoke([command, "-h"])
+        assert code == 0
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+        assert listed == self.OWN[command]
+        for option in {name for names in self.OWN.values() for name in names} - set(listed):
+            assert invoke([command, option, "2", "--edges", ONES]) == (
+                64, "", f"hytet: input error: unrecognized option {option}\n"), option
 
     @pytest.mark.parametrize("command, option, value", [
         ("check", "--edges", ONES),
@@ -688,11 +749,17 @@ class TestArgv:
         assert code == 0
         assert doc["volume"]["monte_carlo"]["diagnostics"]["seed"] == 7
 
-    def test_unique_prefix_abbreviates_an_option(self):
-        full = invoke(["validate", "--mc-samples", "2000", "--edges", ONES])
-        assert full[0] == 0
-        assert invoke(["validate", "--mc-s", "2000", "--edges", ONES]) == full
-        assert invoke(["validate", "--mc-s=2000", "--ed", ONES]) == full
+    def test_an_abbreviated_option_is_refused(self):
+        # a prefix used to name the option, so a per-command table would have
+        # turned sweep --s from a refusal into --samples
+        for argv, name in [
+            (["validate", "--mc-s", "2000", "--edges", ONES], "--mc-s"),
+            (["validate", "--mc-samples=2000", "--ed", ONES], "--ed"),
+            (["sweep", "--s", "3", "--edges", ONES], "--s"),  # was ambiguous with --seed
+            (["sweep", "--edges", ONES, "--he"], "--he"),
+            (["--he"], "--he"),
+        ]:
+            assert invoke(argv) == (64, "", f"hytet: input error: unrecognized option {name}\n")
 
     def test_double_dash_ends_the_options(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -700,7 +767,7 @@ class TestArgv:
         assert invoke(["check", "--", "--doc.json"]) == invoke(["check", "--edges", ONES])
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--s", "3", "--edges", ONES],              # --samples or --seed
+        ["sweep", "--s", "3", "--edges", ONES],              # neither --samples nor --seed
         ["check", "--frobnicate", "--edges", ONES],
         ["check", "--edges"],
         ["volume", "--seed", "1.5", "--edges", ONES],
@@ -719,7 +786,7 @@ class TestArgv:
 
     @pytest.mark.parametrize("argv", [
         ["-h"], ["--help"], ["check", "-h"], ["volume", "--help"],
-        ["sweep", "--edges", ONES, "--he"],
+        ["sweep", "--edges", ONES, "--help"],
     ], ids=" ".join)
     def test_help_prints_usage_and_returns_0(self, argv):
         code, out, err = invoke(argv)

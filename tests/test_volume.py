@@ -28,7 +28,7 @@ from hytet import (
 )
 from hytet import volume as volume_module
 from hytet import quadrature
-from hytet.config import SCHLAFLI_LIMIT, TIGHT_QUADRATURE_TOL
+from hytet.config import SCHLAFLI_LIMIT, SWEEP_SAMPLES_MAX, TIGHT_QUADRATURE_TOL
 
 FIVE_ONES = dict(l12=1.0, l13=1.0, l14=1.0, l23=1.0, l24=1.0)
 
@@ -444,3 +444,33 @@ class TestConvergence:
         monkeypatch.setattr(quadrature, "integrate", lambda *args: dataclasses.replace(
             integrate(*args), converged=False))
         assert route(all_ones) is False
+
+
+class TestOneDiagnosticsShape:
+    """A flat result, where no quadrature runs, reports the keys and health
+    flags of an integrated one, so each route prints one document shape."""
+
+    @pytest.mark.parametrize("route, flat, solid", [
+        (volume_edges, EdgeLengths(**FIVE_ONES, l34=0.0), EdgeLengths(**FIVE_ONES, l34=1.0)),
+        (volume_sforza, DihedralAngles(*([math.acos(1.0 / 3.0)] * 6)),
+         angles_of(EdgeLengths(**FIVE_ONES, l34=1.0))),
+    ], ids=["edges", "sforza"])
+    def test_flat_result_reports_as_an_integrated_one(self, route, flat, solid):
+        res = route(flat)
+        assert (res.value, res.evaluations) == (0.0, 0)
+        assert list(res.diagnostics) == list(route(solid).diagnostics)
+        assert (res.diagnostics["clamped_negative"], res.diagnostics["converged"]) == (False, True)
+
+
+class TestProfileSamples:
+    """volume_profile owns its sample range, and checks it before anything else."""
+
+    @pytest.mark.parametrize("samples", [SWEEP_SAMPLES_MAX + 1, 10**9, 1, 0, -3])
+    @pytest.mark.parametrize("l34", [1.0, 2.0], ids=["tetrahedron", "not-a-tetrahedron"])
+    def test_out_of_range_is_refused_before_any_quadrature(self, monkeypatch, samples, l34):
+        def refuse(*args):
+            raise AssertionError("a quadrature ran")
+
+        monkeypatch.setattr(quadrature, "integrate", refuse)
+        with pytest.raises(DomainError, match=f"needs 2 to {SWEEP_SAMPLES_MAX} samples"):
+            volume_profile(EdgeLengths(**FIVE_ONES, l34=l34), samples)
