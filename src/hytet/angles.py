@@ -23,7 +23,7 @@ oracle module's independent route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import COS_CLAMP
 from .core import EDGE_PAIRS, CofactorSet, Matrix4, opposite_pair
@@ -37,8 +37,7 @@ _ANGLE_PAIRS = tuple((key, k, l, *opposite_pair(k, l))
                      for (k, l), key in zip(EDGE_PAIRS, ANGLE_KEYS))
 
 
-@dataclass(frozen=True)
-class DihedralAngles:
+class DihedralAngles(namedtuple("DihedralAngles", (*ANGLE_KEYS, "clamped"), defaults=(False,))):
     """The six dihedral angles, radians, each in [0, pi].
 
     Interior angles of a solid tetrahedron lie strictly in (0, pi); the
@@ -47,19 +46,13 @@ class DihedralAngles:
     only within rounding distance of a flat configuration.
     """
 
-    th12: float
-    th13: float
-    th14: float
-    th23: float
-    th24: float
-    th34: float
-    clamped: bool = False
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, float]:
-        return {k: getattr(self, k) for k in ANGLE_KEYS}
+        return dict(zip(ANGLE_KEYS, self))
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.th12, self.th13, self.th14, self.th23, self.th24, self.th34)
+        return self[:6]
 
 
 def dihedral_angles(C: CofactorSet) -> DihedralAngles:

@@ -8,7 +8,8 @@ Exit codes are a stable contract:
     0   success
     2   the lengths do not bound a compact tetrahedron (or the request is
         unanswerable at a degenerate configuration)
-    64  malformed input or usage
+    64  malformed input or usage, or lengths outside the domain of an
+        oracle that `validate` or `volume --validate` runs
     70  internal numerical failure
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from decimal import Context, Decimal
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from types import SimpleNamespace
@@ -35,19 +35,37 @@ from .errors import (
     NumericalError,
 )
 from .existence import exists
-from .oracle import (
-    MonteCarloConfig,
-    dihedral_angles_geometric,
-    embed_vertices,
-    volume_monte_carlo,
-)
-from .volume import (
-    VolumeResult,
-    schlafli_residual,
-    volume_edges,
-    volume_profile,
-    volume_sforza,
-)
+
+# name: the module it comes from.  The commands past `angles` import these
+# (_import_routes), so that `check` and `angles` load neither module; reading
+# one here before that, as a tracer or a test does, imports it as well.
+_ROUTES = {
+    "schlafli_residual": "volume", "volume_edges": "volume", "volume_profile": "volume",
+    "volume_sforza": "volume", "MonteCarloConfig": "oracle", "dihedral_angles_geometric": "oracle",
+    "embed_vertices": "oracle", "volume_monte_carlo": "oracle",
+}
+
+
+def __getattr__(name: str):
+    """A name of _ROUTES, imported and bound here on first access (PEP 562)."""
+    if name not in _ROUTES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__package__}.{_ROUTES[name]}")
+    return globals().setdefault(name, getattr(module, name))
+
+
+def _import_routes() -> None:
+    """Bind here every name of _ROUTES not bound yet.  Any bound name stays,
+    as a tracer or a test may have replaced it.  A request that finds them
+    all bound skips the import machinery: __getattr__ on each name would
+    cost about 18 us, a fifth of an in-process `volume` request."""
+    bound = globals()
+    for name in _ROUTES:
+        if name not in bound:
+            __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_NOT_A_TETRAHEDRON = 2
@@ -174,6 +192,8 @@ def _decimal(cast):
 def _whole(raw) -> int:
     """The integer an int, a float or decimal text names, read exactly: 2000.0,
     "2000.0" and "2e3" are 2000; 1.5, "nan" and past int()'s 4,300 digits raise."""
+    from decimal import Context, Decimal
+
     value = Decimal(raw if isinstance(raw, (int, float)) else str(raw), Context(traps=[]))
     if not value.is_finite() or value != value.to_integral_value() or value.adjusted() >= 4300:
         raise ValueError(raw)  # Decimal reads malformed text, or a list, as NaN
@@ -277,7 +297,7 @@ def _warn_unconverged(err, converged: bool, what: str) -> None:
               "short of the tolerance", file=err)
 
 
-def _volume_block(res: VolumeResult, err) -> dict:
+def _volume_block(res, err) -> dict:
     _warn_unconverged(err, res.diagnostics.get("converged", True), f"the {res.route} volume")
     return {
         "value": res.value,
@@ -322,21 +342,33 @@ def _check(value: float, limit: float, key: str = "value") -> dict:
     return {key: value, "limit": limit, "pass": value < limit}
 
 
+def _oracle(route, *args):
+    """route(*args) for an oracle of the battery.  exists has accepted the
+    lengths, so an oracle's "not a tetrahedron" says only that they lie
+    outside its domain: it is refused as a DomainError naming the oracle."""
+    try:
+        return route(*args)
+    except NotATetrahedronError as e:
+        raise DomainError(f"the lengths lie outside the domain of the oracle "
+                          f"{route.__name__}: {e}") from e
+
+
 def _battery(command: str, report, args, err):
     """The cross-route battery `validate` and `volume --validate` share.
 
     Runs each route once, in one order: the edge volume, E, the cofactors
     and angles, the Sforza volume, the embedding, Monte Carlo; where two
-    fail, the first one is reported.  Returns the document with the three
-    volume blocks and the angles, the edge volume's gaps to the Sforza
-    volume and, in standard errors, to the Monte Carlo one, and the
-    embedding it built; E, C and the angles stay on the report.
+    fail, the first one is reported, a refusal by one of the last three as
+    a DomainError (_oracle).  Returns the document with the three volume
+    blocks and the angles, the edge volume's gaps to the Sforza volume and,
+    in standard errors, to the Monte Carlo one, and the embedding it built;
+    E, C and the angles stay on the report.
     """
     res = volume_edges(report, args.tol)
     blocks = _angles_block(report)
-    sf = volume_sforza(report.angles, args.tol)
-    emb = embed_vertices(report.edge_matrix)
-    mc = volume_monte_carlo(emb, args.monte_carlo)
+    sf = _oracle(volume_sforza, report.angles, args.tol)
+    emb = _oracle(embed_vertices, report.edge_matrix)
+    mc = _oracle(volume_monte_carlo, emb, args.monte_carlo)
     doc = _report_doc(command, report)
     doc["volume"] = {"edge_integral": _volume_block(res, err),
                      "sforza": _volume_block(sf, err), "monte_carlo": _volume_block(mc, err)}
@@ -383,7 +415,7 @@ def _csv_number(v: float) -> str:
 
 def _cmd_validate(report, args, out, err) -> int:
     doc, route_gap, z, emb = _battery("validate", report, args, err)
-    th_geo = dihedral_angles_geometric(emb)
+    th_geo = _oracle(dihedral_angles_geometric, emb)
     angle_gap = max(abs(a - b) for a, b in zip(report.angles.as_tuple(), th_geo.as_tuple()))
     jacobi = jacobi_residuals(report.edge_matrix, report.cofactors).max_relative
     checks = {
@@ -527,6 +559,8 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
             return EXIT_OK
         doc = _load_document(args)
         lengths = _lengths_from_document(doc)
+        if args.command not in ("check", "angles"):
+            _import_routes()
         _settings(args, doc)
         return _COMMANDS[args.command][0](exists(lengths), args, out, err)
     except (_UsageError, DomainError) as e:

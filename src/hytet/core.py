@@ -24,8 +24,8 @@ matrix is a tuple of four row tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import DomainError
 
@@ -51,49 +51,50 @@ def opposite_pair(i: int, j: int) -> tuple[int, int]:
     return k, l
 
 
-@dataclass(frozen=True)
-class EdgeLengths:
+def _edge_length(name: str, value) -> float:
+    """value as a float, or DomainError unless it is a finite nonnegative number."""
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DomainError(f"edge length {name} must be finite, got {value!r}")
+    if value < 0:
+        raise DomainError(f"edge length {name} must be nonnegative, got {value!r}")
+    return float(value)
+
+
+class EdgeLengths(namedtuple("EdgeLengths", EDGE_KEYS)):
     """The six edge lengths of a tetrahedron, in hyperbolic length units.
 
-    All fields must be finite and nonnegative.  Strictly positive lengths
-    describe a genuine tetrahedron candidate; zeros are admitted so that
-    boundary-degenerate configurations (coinciding vertices, flat folds)
-    can be represented and flagged by the existence module instead of being
-    unrepresentable.
+    All fields must be finite and nonnegative; each is stored as a float.
+    Strictly positive lengths describe a genuine tetrahedron candidate;
+    zeros are admitted so that boundary-degenerate configurations
+    (coinciding vertices, flat folds) can be represented and flagged by the
+    existence module instead of being unrepresentable.  Immutable; compares
+    and hashes as the tuple of its six values.
     """
 
-    l12: float
-    l13: float
-    l14: float
-    l23: float
-    l24: float
-    l34: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in EDGE_KEYS:
-            value = getattr(self, name)
-            if type(value) is float and 0.0 <= value < math.inf:
-                continue
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise DomainError(f"edge length {name} must be finite, got {value!r}")
-            if value < 0:
-                raise DomainError(f"edge length {name} must be nonnegative, got {value!r}")
-            object.__setattr__(self, name, float(value))
+    def __new__(cls, l12, l13, l14, l23, l24, l34):
+        values = (l12, l13, l14, l23, l24, l34)
+        if not all(type(v) is float and 0.0 <= v < math.inf for v in values):
+            values = tuple(map(_edge_length, EDGE_KEYS, values))
+        return tuple.__new__(cls, values)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace checks, too
 
     def as_dict(self) -> dict[str, float]:
-        return {k: getattr(self, k) for k in EDGE_KEYS}
+        return dict(zip(EDGE_KEYS, self))
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.l12, self.l13, self.l14, self.l23, self.l24, self.l34)
+        return tuple(self)
 
     def length_matrix(self) -> Matrix4:
         """Symmetric 4x4 matrix of pairwise lengths, zero diagonal."""
-        return _symmetric(0.0, self.as_tuple())
+        return _symmetric(0.0, self)
 
-    def with_l34(self, value: float) -> "EdgeLengths":
-        return replace(self, l34=value)
+    def with_l34(self, value: float) -> EdgeLengths:
+        return EdgeLengths(*self[:5], value)
 
-    def relabel(self, sigma: Sequence[int]) -> "EdgeLengths":
+    def relabel(self, sigma: Sequence[int]) -> EdgeLengths:
         """Apply a vertex permutation: new vertex k is old vertex sigma[k]."""
         if sorted(sigma) != [0, 1, 2, 3]:
             raise DomainError(f"relabeling must be a permutation of 0..3, got {sigma!r}")
@@ -101,8 +102,7 @@ class EdgeLengths:
         return EdgeLengths(*(m[sigma[i]][sigma[j]] for i, j in EDGE_PAIRS))
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeMatrix:
+class EdgeMatrix(namedtuple("EdgeMatrix", ("e", "shifted"))):
     """Symmetric 4x4 matrix of hyperbolic cosines of the edge lengths.
 
     ``shifted`` is E minus the all-ones matrix with entries computed as
@@ -110,12 +110,10 @@ class EdgeMatrix:
     round away; the cofactor routines work in this shifted form.
     """
 
-    e: Matrix4
-    shifted: Matrix4
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class CofactorSet:
+class CofactorSet(namedtuple("CofactorSet", ("c", "delta"))):
     """All sixteen cofactors of an edge matrix and its determinant.
 
     For a valid compact tetrahedron the diagonal cofactors are positive and
@@ -124,16 +122,14 @@ class CofactorSet:
     matrices when testing determinant identities.
     """
 
-    c: Matrix4
-    delta: float
+    __slots__ = ()
 
     @property
     def diagonal(self) -> tuple[float, float, float, float]:
         return tuple(self.c[i][i] for i in range(4))
 
 
-@dataclass(frozen=True)
-class JacobiResiduals:
+class JacobiResiduals(namedtuple("JacobiResiduals", ("residuals", "scales"))):
     """Residuals of the fourteen quadratic cofactor identities.
 
     For any symmetric unit-diagonal 4x4 matrix written as cosh of an edge
@@ -147,8 +143,7 @@ class JacobiResiduals:
     unit diagonal, not only for matrices of actual tetrahedra.
     """
 
-    residuals: tuple[float, ...]
-    scales: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def max_relative(self) -> float:

@@ -4,9 +4,22 @@ Every error raised by this package derives from :class:`HytetError`, so
 callers can catch one type at the boundary.  The split below mirrors how the
 CLI maps failures to exit codes: bad input values (64), geometric
 impossibility or degeneracy (2), and internal numerical inconsistency (70).
+:func:`shown` is how a message echoes the value it refuses.
 """
 
 from __future__ import annotations
+
+# an error message echoes at most this many characters of a refused value
+_ECHO_CHARS = 20
+
+
+def shown(value) -> str:
+    """repr of a refused value for an error message; past _ECHO_CHARS
+    characters, their first _ECHO_CHARS and the full length."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
 
 
 class HytetError(Exception):

@@ -33,7 +33,7 @@ evaluated right up to these boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from . import angles, core
@@ -43,8 +43,8 @@ from .errors import DomainError, NotATetrahedronError
 __all__ = ["L34Bounds", "ExistenceReport", "l34_bounds", "exists"]
 
 
-@dataclass(frozen=True)
-class L34Bounds:
+class L34Bounds(namedtuple("L34Bounds", ("C", "S", "l1", "l2", "clamped_sqrt"),
+                           defaults=(False,))):
     """Admissible interval for the sixth edge given the other five.
 
     ``l1`` and ``l2`` bound the edge between vertices 3 and 4; ``C`` and
@@ -55,15 +55,11 @@ class L34Bounds:
     triangle-inequality boundary).
     """
 
-    C: float
-    S: float
-    l1: float
-    l2: float
-    clamped_sqrt: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExistenceReport:
+class ExistenceReport(namedtuple("ExistenceReport", "tri_123_ok tri_124_ok bounds l34_in_range "
+                                 "degenerate exists slacks failed lengths")):
     """Outcome of the full existence test.
 
     ``slacks`` maps each inequality to its signed distance from the
@@ -76,19 +72,11 @@ class ExistenceReport:
     accept the report in their place and then skip the test.  ``edge_matrix``,
     ``cofactors`` and ``angles`` are built from ``lengths`` on first use and
     kept, so a request that reads the report builds each at most once.
+    ``bounds`` is None when the faces fail or l12 is zero.
     """
 
-    tri_123_ok: bool
-    tri_124_ok: bool
-    bounds: L34Bounds | None
-    l34_in_range: bool
-    degenerate: bool
-    exists: bool
-    slacks: dict[str, float]
-    failed: tuple[str, ...]
-    lengths: core.EdgeLengths
-
-    # each looked up on its module, where a tracer may wrap it
+    # no __slots__: each cached value lives in the instance's __dict__; each
+    # builder is looked up on its module, where a tracer may wrap it
     @cached_property
     def edge_matrix(self) -> core.EdgeMatrix:
         return core.edge_matrix_from_lengths(self.lengths)

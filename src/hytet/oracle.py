@@ -44,12 +44,12 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .angles import DihedralAngles
 from .config import MC_SAMPLES_MAX, PIVOT_TOL, SQRT_CLAMP
-from .core import EDGE_PAIRS, EdgeLengths, EdgeMatrix, Matrix4, det3, opposite_pair
-from .errors import DegenerateError, DomainError, NotATetrahedronError
+from .core import EDGE_PAIRS, EdgeLengths, EdgeMatrix, det3, opposite_pair
+from .errors import DegenerateError, DomainError, NotATetrahedronError, shown
 from .volume import VolumeResult, clausen
 
 __all__ = [
@@ -73,8 +73,7 @@ def _mdot(u, v) -> float:
     return -u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
 
 
-@dataclass(frozen=True, eq=False)
-class VertexEmbedding:
+class VertexEmbedding(namedtuple("VertexEmbedding", ("vertices", "gram_resid"))):
     """Four hyperboloid points realizing an edge matrix.
 
     ``vertices`` holds one Minkowski 4-vector per row tuple, first coordinate
@@ -82,16 +81,14 @@ class VertexEmbedding:
     the largest deviation of those inner products from their targets.
     """
 
-    vertices: Matrix4
-    gram_resid: float
+    __slots__ = ()
 
     def length(self, i: int, j: int) -> float:
         """Hyperbolic distance between embedded vertices i and j."""
         return math.acosh(max(1.0, -_mdot(self.vertices[i], self.vertices[j])))
 
 
-@dataclass(frozen=True)
-class MonteCarloConfig:
+class MonteCarloConfig(namedtuple("MonteCarloConfig", ("seed", "samples"))):
     """Sampling parameters for the Klein-model volume estimator.
 
     Identical (seed, samples) give bit-identical results.  The seed is an
@@ -100,17 +97,18 @@ class MonteCarloConfig:
     would pass any check) to ``MC_SAMPLES_MAX``, which bounds the run time.
     """
 
-    seed: int
-    samples: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (isinstance(self.seed, bool) or not hasattr(self.seed, "__index__")
-                or not 0 <= operator.index(self.seed) < 2 ** 64):
-            raise DomainError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not hasattr(self.samples, "__index__") or not (
-                2 <= operator.index(self.samples) <= MC_SAMPLES_MAX):
+    def __new__(cls, seed, samples):
+        if (isinstance(seed, bool) or not hasattr(seed, "__index__")
+                or not 0 <= operator.index(seed) < 2 ** 64):
+            raise DomainError(f"seed must be an integer in [0, 2**64), got {shown(seed)}")
+        if not hasattr(samples, "__index__") or not 2 <= operator.index(samples) <= MC_SAMPLES_MAX:
             raise DomainError(
-                f"samples must be an integer in [2, {MC_SAMPLES_MAX}], got {self.samples!r}")
+                f"samples must be an integer in [2, {MC_SAMPLES_MAX}], got {shown(samples)}")
+        return tuple.__new__(cls, (seed, samples))
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace checks, too
 
 
 def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:

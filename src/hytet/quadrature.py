@@ -19,8 +19,8 @@ x - a loses every digit, the distance none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .config import QUADRATURE_TOL
 from .errors import DomainError
@@ -38,15 +38,12 @@ _NODES = ((0.0, 0.20948214108472782, 0.4179591836734694),
 _MAX_PANELS = 32  # 945 evaluations; benchmark requests were seen to need 13 panels at most
 
 
-@dataclass(frozen=True)
-class QuadratureOutcome:
+class QuadratureOutcome(namedtuple("QuadratureOutcome", "value error evaluations converged")):
     """``error`` sums the panels' |K15 - G7|; ``converged`` is false when
-    the panel cap stopped the refinement short of the tolerance."""
+    the panel cap stopped the refinement short of the tolerance.
+    ``_replace`` copies an outcome with fields changed."""
 
-    value: float
-    error: float
-    evaluations: int
-    converged: bool
+    __slots__ = ()
 
 
 def integrate(

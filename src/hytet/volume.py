@@ -85,7 +85,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from collections import namedtuple
 
 from . import angles, core, quadrature
 from .angles import DihedralAngles, gram_from_angles
@@ -97,6 +98,7 @@ from .errors import (
     InconsistentAnglesError,
     NotATetrahedronError,
     NumericalError,
+    shown,
 )
 from .existence import ExistenceReport, L34Bounds, exists, l34_bounds
 
@@ -112,8 +114,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VolumeResult:
+class VolumeResult(namedtuple("VolumeResult",
+                              "value error_estimate evaluations route diagnostics")):
     """A volume value with its provenance and health indicators.
 
     ``route`` is one of ``edge_integral``, ``sforza``, ``regular``,
@@ -122,14 +124,15 @@ class VolumeResult:
     bound.  Tiny negative quadrature results (within the quadrature
     tolerance of zero) are clamped to zero and flagged in
     ``diagnostics["clamped_negative"]``; ``diagnostics["converged"]`` is
-    false when a quadrature stopped at its panel cap.
+    false when a quadrature stopped at its panel cap.  ``diagnostics``
+    defaults to a new empty dict.
     """
 
-    value: float
-    error_estimate: float
-    evaluations: int
-    route: str
-    diagnostics: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, value, error_estimate, evaluations, route, diagnostics=None):
+        return tuple.__new__(cls, (value, error_estimate, evaluations, route,
+                                   {} if diagnostics is None else diagnostics))
 
 
 def _cl2_coefficients(terms: int) -> tuple[float, ...]:
@@ -222,7 +225,7 @@ class _EdgeIntegrand:
         outcome = quadrature.integrate(node, a, b, tol)
         if not math.isfinite(outcome.value):  # the coefficients overflow past l ~ 100
             raise NumericalError(f"the volume integral came out as {outcome.value!r}")
-        return outcome if a == lower else replace(outcome, value=-outcome.value)
+        return outcome if a == lower else outcome._replace(value=-outcome.value)
 
     def neg_delta(self, t: float, gap_lo: float, gap_hi: float) -> float:
         """-Delta at parameter t from its exact distances t - l1 and l2 - t,
@@ -374,12 +377,13 @@ def volume_profile(
     The grid runs between the fold bounds l1 and l2, where V vanishes and
     dV/dt is reported as +inf and -inf; V sums one quadrature per segment.
     ``lengths`` may be their ``exists`` report; l34 takes part only in the
-    existence check.  ``samples`` runs from 2 to ``SWEEP_SAMPLES_MAX``, which
-    bounds the rows held in memory; it is checked before the lengths.
+    existence check.  ``samples`` is an integer from 2 to ``SWEEP_SAMPLES_MAX``,
+    which bounds the rows held in memory; it is checked before the lengths.
     """
-    if not 2 <= samples <= SWEEP_SAMPLES_MAX:
+    if not hasattr(samples, "__index__") or not 2 <= operator.index(samples) <= SWEEP_SAMPLES_MAX:
         raise DomainError(f"a volume profile needs 2 to {SWEEP_SAMPLES_MAX} samples, "
-                          f"got {samples!r}")
+                          f"got {shown(samples)}")
+    samples = operator.index(samples)
     _, integ = _edge_integrand(lengths)
     l1, l2 = integ.l1, integ.l2
     step = (l2 - l1) / (samples - 1)

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import math
@@ -15,6 +14,21 @@ from hytet.cli import run
 from hytet.config import MC_SAMPLES_MAX, SWEEP_SAMPLES_MAX
 
 ONES = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=1"
+# the package's public names, its submodules but cli, and the dunders of a package module
+PUBLIC = [
+    "CofactorSet", "DegenerateError", "DihedralAngles", "DomainError", "EDGE_KEYS",
+    "EdgeLengths", "EdgeMatrix", "ExistenceError", "ExistenceReport", "HytetError",
+    "InconsistentAnglesError", "JacobiResiduals", "L34Bounds", "MonteCarloConfig",
+    "NotATetrahedronError", "NumericalError", "VertexEmbedding", "VolumeResult", "cofactors",
+    "dihedral_angles", "dihedral_angles_geometric", "edge_matrix_from_lengths", "embed_vertices",
+    "euclidean_volume_cm", "exists", "expansion_residual", "gram_from_angles",
+    "jacobi_residuals", "l34_bounds", "lobachevsky", "opposite_pair", "schlafli_residual",
+    "volume_derivative", "volume_edges", "volume_monte_carlo", "volume_profile",
+    "volume_regular", "volume_sforza",
+]
+SUBMODULES = ("angles", "config", "core", "errors", "existence", "oracle", "quadrature", "volume")
+MODULE_DUNDERS = ("__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+                  "__name__", "__package__", "__path__", "__spec__", "__version__")
 
 
 def invoke(argv):
@@ -232,14 +246,16 @@ class TestInput:
         assert code != 64
         assert doc["volume"]["monte_carlo"]["error_estimate"] > 0
 
-    @pytest.mark.parametrize("source, samples", [
-        ("flag", MC_SAMPLES_MAX + 1),
-        ("flag", 10 ** 400),
-        ("config", MC_SAMPLES_MAX + 1),
-        ("config", 1e300),  # an integral float, a 301-digit count
+    @pytest.mark.parametrize("source, samples, echo", [
+        ("flag", MC_SAMPLES_MAX + 1, str(MC_SAMPLES_MAX + 1)),
+        # a long count is echoed as its first 20 digits and its length
+        ("flag", 10 ** 400, "1" + "0" * 19 + "... (401 characters)"),
+        ("config", MC_SAMPLES_MAX + 1, str(MC_SAMPLES_MAX + 1)),
+        # an integral float, a 301-digit count
+        ("config", 1e300, "10000000000000000525... (301 characters)"),
     ], ids=["flag", "flag-1e400", "config", "config-1e300"])
     def test_too_many_monte_carlo_samples_is_usage_error(
-            self, tmp_path, monkeypatch, source, samples):
+            self, tmp_path, monkeypatch, source, samples, echo):
         drawn = []
         monkeypatch.setattr(hytet.cli, "volume_monte_carlo",
                             lambda *args: drawn.append(args))
@@ -255,7 +271,7 @@ class TestInput:
             code, out, err = invoke([*command, str(path)])
             assert (code, out) == (64, "")
             assert err == (f"hytet: input error: samples must be an integer in "
-                           f"[2, {MC_SAMPLES_MAX}], got {int(samples)!r}\n")
+                           f"[2, {MC_SAMPLES_MAX}], got {echo}\n")
         assert drawn == []
 
     def test_sample_cap_itself_is_accepted(self):
@@ -692,8 +708,8 @@ class TestQuadratureWarning:
         code, out, err = invoke(argv)
         assert (code, err) == (0, "")
         integrate = quadrature.integrate
-        monkeypatch.setattr(quadrature, "integrate", lambda *args: dataclasses.replace(
-            integrate(*args), converged=False))
+        monkeypatch.setattr(quadrature, "integrate",
+                            lambda *args: integrate(*args)._replace(converged=False))
         code, capped, err = invoke(argv)
         assert code == 0
         assert err.startswith("hytet: warning:") and "panel cap" in err
@@ -883,9 +899,25 @@ class TestOneBattery:
         edges = ",".join(f"{k}=30" for k in hytet.EDGE_KEYS)
         validate = invoke(["validate", "--mc-samples", "2000", "--edges", edges])
         volume = invoke(["volume", "--validate", "--mc-samples", "2000", "--edges", edges])
-        assert validate[0] == volume[0] == 2
+        assert validate[0] == volume[0] == 64
         assert validate[2] == volume[2]
         assert "logarithm argument is not positive" in volume[2]
+
+    ORACLES = ("volume_sforza", "embed_vertices", "volume_monte_carlo",
+               "dihedral_angles_geometric")
+
+    @pytest.mark.parametrize("a", [1e-3, 1e-2, 0.1, 1.0, 10.0, 15.0, 18.0, 19.0, 25.0, 30.0,
+                                   50.0, 100.0])
+    def test_valid_regular_tetrahedra_never_exit_2(self, a):
+        # exists accepts every regular tetrahedron; an oracle that cannot
+        # follow it there refuses the lengths as outside its domain
+        edges = ",".join(f"{k}={a!r}" for k in hytet.EDGE_KEYS)
+        code, _, err = invoke(["validate", "--mc-samples", "2000", "--edges", edges])
+        assert code != 2, err
+        if code == 64:
+            assert err.startswith("hytet: input error: the lengths lie outside the domain of "
+                                  "the oracle ")
+            assert any(f" oracle {name}: " in err for name in self.ORACLES), err
 
 
 class TestOneRecord:
@@ -951,6 +983,62 @@ class TestImportCost:
             print(after_import, codes, "argparse" in sys.modules)
         """)
         assert out == "False [0, 0, 0] False"
+
+    def test_check_and_angles_load_only_what_they_run(self):
+        # the existence test and the cosine rule need config, errors, core,
+        # angles and existence alone
+        out = self.fresh_process(f"""
+            import io, sys
+            from hytet.cli import run
+            codes = [run([command, "--edges", {ONES!r}], stdout=io.StringIO())
+                     for command in ("check", "angles")]
+            print(codes, [name for name in ("hytet.volume", "hytet.oracle", "hytet.quadrature",
+                                            "dataclasses", "decimal")
+                          if name in sys.modules])
+        """)
+        assert out == "[0, 0] []"
+
+    def test_import_hytet_loads_no_submodule(self):
+        out = self.fresh_process("""
+            import sys
+            import hytet
+            print(sorted(name for name in sys.modules if name.startswith("hytet.")))
+        """)
+        assert out == "[]"
+
+    def test_every_public_name_and_submodule_resolves(self):
+        # read on the package first, each submodule after those it imports,
+        # so none is bound before it is read; then each is checked to be the
+        # submodule, and each name the object of that name on its submodule
+        order = ("config", "errors", "quadrature", "core", "angles", "existence", "volume",
+                 "oracle")
+        assert sorted(order) == list(SUBMODULES)
+        out = self.fresh_process(f"""
+            import importlib
+            import hytet
+            bound, read = [], {{}}
+            for name in [*{order!r}, *hytet.__all__]:
+                bound += [name] if name in vars(hytet) else []
+                read[name] = getattr(hytet, name)
+            modules = [importlib.import_module("hytet." + name) for name in {order!r}]
+            print(bound, [name for name, module in zip({order!r}, modules)
+                          if read[name] is not module],
+                  [name for name in hytet.__all__
+                   if not any(getattr(m, name, None) is read[name] for m in modules)])
+        """)
+        assert out == "[] [] []"
+
+    def test_star_import_and_dir_list_the_public_names(self):
+        out = self.fresh_process("""
+            import hytet
+            names = {}
+            exec("from hytet import *", names)
+            print(sorted(set(names) - {"__builtins__"}))
+            print(dir(hytet))
+        """)
+        star, listed = out.splitlines()
+        assert star == str(PUBLIC)
+        assert listed == str(sorted([*PUBLIC, *SUBMODULES, *MODULE_DUNDERS]))
 
     def test_oracle_geometry_does_not_load_numpy(self):
         out = self.fresh_process("""

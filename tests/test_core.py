@@ -70,6 +70,20 @@ class TestEdgeLengths:
         inverse = tuple(np.argsort(sigma))
         assert L.relabel(sigma).relabel(inverse) == L
 
+    @pytest.mark.parametrize("field", EDGE_NAMES + ["other"])
+    def test_fields_cannot_be_set(self, field):
+        L = EdgeLengths(1, 1, 1, 1, 1, 1)
+        with pytest.raises(AttributeError):
+            setattr(L, field, 2.0)
+        assert L == EdgeLengths(1, 1, 1, 1, 1, 1)
+
+    def test_equal_values_compare_and_hash_alike(self):
+        # a record is the tuple of its fields: equal lengths are equal
+        # records, with one hash, and equal the plain tuple of their values
+        a, b = EdgeLengths(1, 1, 1, 1, 1, 1), EdgeLengths(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        assert a == b and hash(a) == hash(b) and a == (1.0,) * 6
+        assert a != a.with_l34(1.5)
+
 
 class TestCofactors:
     def test_all_ones_matrix_is_rank_one(self):

@@ -88,6 +88,14 @@ class TestExists:
         assert not report.degenerate
         assert report.l34_in_range
 
+    @pytest.mark.parametrize("field", ["exists", "lengths", "bounds", "failed"])
+    def test_fields_cannot_be_set(self, all_ones, field):
+        # the report keeps a __dict__ for its cached E, cofactors and
+        # angles, yet its fields stay read-only
+        report = exists(all_ones)
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+
     def test_five_ones_l34_two_fails(self):
         report = exists(EdgeLengths(1, 1, 1, 1, 1, 2))
         assert not report.exists

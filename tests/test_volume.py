@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -441,8 +440,8 @@ class TestConvergence:
     @pytest.mark.parametrize("route", ROUTES, ids=IDS)
     def test_a_capped_quadrature_is_reported(self, route, all_ones, monkeypatch):
         integrate = quadrature.integrate
-        monkeypatch.setattr(quadrature, "integrate", lambda *args: dataclasses.replace(
-            integrate(*args), converged=False))
+        monkeypatch.setattr(quadrature, "integrate",
+                            lambda *args: integrate(*args)._replace(converged=False))
         assert route(all_ones) is False
 
 
@@ -465,7 +464,7 @@ class TestOneDiagnosticsShape:
 class TestProfileSamples:
     """volume_profile owns its sample range, and checks it before anything else."""
 
-    @pytest.mark.parametrize("samples", [SWEEP_SAMPLES_MAX + 1, 10**9, 1, 0, -3])
+    @pytest.mark.parametrize("samples", [SWEEP_SAMPLES_MAX + 1, 10**9, 1, 0, -3, 5.0, "5"])
     @pytest.mark.parametrize("l34", [1.0, 2.0], ids=["tetrahedron", "not-a-tetrahedron"])
     def test_out_of_range_is_refused_before_any_quadrature(self, monkeypatch, samples, l34):
         def refuse(*args):
