@@ -30,7 +30,7 @@ evaluations.
   the first 10 cases only.
 - ``check`` is timed in the three steps ``run`` takes: the front end (argv
   parsed, the ``--edges`` document read into ``EdgeLengths`` and the
-  settings resolved), ``exists``, and the document text (``check``'s
+  settings checked), ``exists``, and the document text (``check``'s
   handler writing the JSON to a discarded buffer).  Each step starts from
   what the step before it built.  A line after the table sets the front
   end beside ``exists``.
@@ -103,7 +103,7 @@ def front_end(argv: list[str]) -> tuple:
     args = cli._parse_args(argv, None)
     doc = cli._load_document(args)
     lengths = cli._lengths_from_document(doc)
-    cli._settings(args, doc)
+    cli._settings(args)
     return lengths, args
 
 

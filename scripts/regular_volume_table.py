@@ -5,12 +5,18 @@ next to the flat-space value (sqrt(2)/12) a^3, which it should approach as
 a -> 0, and the ideal ceiling 3 L(pi/3), which it should approach from
 below as a -> infinity.
 
+The checkout's own ``src`` is the one imported.
+
 Usage: python scripts/regular_volume_table.py
 """
 
 import math
+import sys
+from pathlib import Path
 
-from hytet import EdgeLengths, euclidean_volume_cm, lobachevsky, volume_regular
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from hytet import EdgeLengths, euclidean_volume_cm, lobachevsky, volume_regular  # noqa: E402
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ _EXPORTS = {
     "existence": ("ExistenceReport", "L34Bounds", "exists", "l34_bounds"),
     "oracle": ("MonteCarloConfig", "VertexEmbedding", "dihedral_angles_geometric",
                "embed_vertices", "euclidean_volume_cm", "lobachevsky", "volume_monte_carlo"),
-    "volume": ("VolumeResult", "schlafli_residual", "volume_derivative", "volume_edges",
+    "volume": ("VolumeResult", "clausen", "schlafli_residual", "volume_derivative", "volume_edges",
                "volume_profile", "volume_regular", "volume_sforza"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -76,6 +76,8 @@ def dihedral_angles(C: CofactorSet) -> DihedralAngles:
     values = []
     for _, k, l, i, j in _ANGLE_PAIRS:
         norm = math.sqrt(diag[i] * diag[j])
+        if norm == math.inf:  # the product overflows before either factor does
+            norm = math.sqrt(diag[i]) * math.sqrt(diag[j])
         cos_th = -C.c[i][j] / norm
         # not <= also catches NaN; an infinite norm means the cofactors overflowed
         if not abs(cos_th) <= 1.0 + COS_CLAMP or norm == math.inf:

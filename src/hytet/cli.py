@@ -176,6 +176,9 @@ def _load_document(args) -> dict:
     # accept either a bare input document or a previous output document
     if "edges" not in doc and isinstance(doc.get("input"), dict):
         doc = doc["input"]
+    if "config" in doc:  # settings come from flags alone
+        raise _UsageError('the input document takes no "config": '
+                          "give --tol, --mc-samples or --seed instead")
     return doc
 
 
@@ -189,14 +192,14 @@ def _decimal(cast):
     return parse
 
 
-def _whole(raw) -> int:
-    """The integer an int, a float or decimal text names, read exactly: 2000.0,
-    "2000.0" and "2e3" are 2000; 1.5, "nan" and past int()'s 4,300 digits raise."""
+def _whole(text: str) -> int:
+    """The integer decimal text names, read exactly: "2000.0" and "2e3" are
+    2000; "1.5", "nan" and past int()'s 4,300 digits raise."""
     from decimal import Context, Decimal
 
-    value = Decimal(raw if isinstance(raw, (int, float)) else str(raw), Context(traps=[]))
+    value = Decimal(text, Context(traps=[]))
     if not value.is_finite() or value != value.to_integral_value() or value.adjusted() >= 4300:
-        raise ValueError(raw)  # Decimal reads malformed text, or a list, as NaN
+        raise ValueError(text)  # Decimal reads malformed text as NaN
     return int(value)
 
 
@@ -223,33 +226,13 @@ def _lengths_from_document(doc: dict) -> EdgeLengths:
     return EdgeLengths(*values)  # DomainError on a negative or non-finite length
 
 
-# setting: its default; a flag beats the input document's config key of the
-# setting's name, which beats the default
-_DEFAULTS = {"tol": QUADRATURE_TOL, "mc_samples": DEFAULT_MC_SAMPLES, "seed": DEFAULT_SEED}
-
-
-def _settings(args, doc: dict) -> None:
-    """Resolve the settings args.command reads onto args, each from its flag,
-    the input document's config key of its name or its default, in that order;
-    for Monte Carlo's two, args.monte_carlo holds their checked config."""
-    doc_cfg = doc.get("config", {})
-    if not isinstance(doc_cfg, dict):
-        raise _UsageError('input document "config" must be a JSON object')
-    reads = _SETTINGS[args.command]
-    for name in doc_cfg:
-        if name not in reads:
-            raise _UsageError(f"{args.command} reads no config key {name!r}")
-    for name, cast in reads.items():
-        if getattr(args, name) is not None:
-            continue
-        try:
-            setattr(args, name, cast(doc_cfg[name]) if name in doc_cfg else _DEFAULTS[name])
-        except (TypeError, ValueError, OverflowError):
-            raise _UsageError(f"config {name} does not parse")
+def _settings(args) -> None:
+    """Check the settings args holds; for the commands that run Monte Carlo,
+    args.monte_carlo holds its checked config."""
     # the quadrature sees tol only when it integrates, so it is checked here
-    if "tol" in reads and not args.tol > 0:  # NaN too
+    if not args.tol > 0:  # NaN too
         raise _UsageError("tolerance must be positive")
-    if "seed" in reads:  # DomainError on a seed or sample count out of range
+    if args.command in _MONTE_CARLO:  # DomainError on a seed or sample count out of range
         args.monte_carlo = MonteCarloConfig(seed=args.seed, samples=args.mc_samples)
 
 
@@ -469,8 +452,7 @@ _COMMANDS = {
     "validate": (_cmd_validate, "full property battery with independent oracles"),
 }
 # option: (attribute, value parser or None for a flag, help, the commands that
-# take it or None for every one); one table parses argv, writes the usage text
-# and names the settings, and config keys, each command reads
+# take it or None for every one); one table parses argv and writes the usage text
 _MONTE_CARLO = ("volume", "validate")
 _OPTIONS = {
     "--edges": ("edges", str, "inline lengths: l12=..,l13=..,l14=..,l23=..,l24=..,l34=..", None),
@@ -486,9 +468,6 @@ _OPTIONS = {
 }
 _TABLES = {command: {name: spec for name, spec in _OPTIONS.items()
                      if spec[3] is None or command in spec[3]} for command in _COMMANDS}
-# command: {setting it reads: its parser}
-_SETTINGS = {command: {attr: parse for attr, parse, _, _ in table.values() if attr in _DEFAULTS}
-             for command, table in _TABLES.items()}
 
 
 def _help(command) -> str:
@@ -517,7 +496,8 @@ def _parse_args(argv: list[str], out):
         print(_help(None), file=out)
         return None
     table, inputs, tokens = _TABLES[command], [], iter(argv[1:])
-    args = SimpleNamespace(command=command, edges=None, tol=None, mc_samples=None, seed=None,
+    args = SimpleNamespace(command=command, edges=None, tol=QUADRATURE_TOL,
+                           mc_samples=DEFAULT_MC_SAMPLES, seed=DEFAULT_SEED,
                            format="csv" if command == "sweep" else "json", validate=False,
                            samples=DEFAULT_SWEEP_SAMPLES)
     for token in tokens:
@@ -561,7 +541,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         lengths = _lengths_from_document(doc)
         if args.command not in ("check", "angles"):
             _import_routes()
-        _settings(args, doc)
+        _settings(args)
         return _COMMANDS[args.command][0](exists(lengths), args, out, err)
     except (_UsageError, DomainError) as e:
         print(f"hytet: input error: {e}", file=err)

@@ -25,8 +25,6 @@ from collections.abc import Callable
 from .config import QUADRATURE_TOL
 from .errors import DomainError
 
-__all__ = ["QuadratureOutcome", "integrate"]
-
 # Kronrod nodes x > 0 on [-1, 1], their weights, and the Gauss weights of x[1::2]
 _X = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
       0.5860872354676911, 0.4058451513773972, 0.20778495500789848)

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -7,9 +8,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hytet
+from cases import sample_lengths
 from hytet.cli import run
 from hytet.config import MC_SAMPLES_MAX, SWEEP_SAMPLES_MAX
 
@@ -19,9 +22,9 @@ PUBLIC = [
     "CofactorSet", "DegenerateError", "DihedralAngles", "DomainError", "EDGE_KEYS",
     "EdgeLengths", "EdgeMatrix", "ExistenceError", "ExistenceReport", "HytetError",
     "InconsistentAnglesError", "JacobiResiduals", "L34Bounds", "MonteCarloConfig",
-    "NotATetrahedronError", "NumericalError", "VertexEmbedding", "VolumeResult", "cofactors",
-    "dihedral_angles", "dihedral_angles_geometric", "edge_matrix_from_lengths", "embed_vertices",
-    "euclidean_volume_cm", "exists", "expansion_residual", "gram_from_angles",
+    "NotATetrahedronError", "NumericalError", "VertexEmbedding", "VolumeResult", "clausen",
+    "cofactors", "dihedral_angles", "dihedral_angles_geometric", "edge_matrix_from_lengths",
+    "embed_vertices", "euclidean_volume_cm", "exists", "expansion_residual", "gram_from_angles",
     "jacobi_residuals", "l34_bounds", "lobachevsky", "opposite_pair", "schlafli_residual",
     "volume_derivative", "volume_edges", "volume_monte_carlo", "volume_profile",
     "volume_regular", "volume_sforza",
@@ -138,14 +141,26 @@ class TestAcrossTheLengthScale:
     @pytest.mark.parametrize("a", [150.0, 400.0])
     def test_overflow_is_a_numerical_failure(self, a):
         # the integrand's coefficients overflow past edges of about 100, the
-        # cofactors past 120, the fold bounds past 350: exit 70, never a
+        # cofactors past 237, the fold bounds past 350: exit 70, never a
         # traceback or a NaN printed as an answer
         edges = ",".join(f"{k}={a!r}" for k in hytet.EDGE_KEYS)
-        code, _, _ = invoke(["check", "--edges", edges])
-        assert code == (0 if a < 350 else 70)
-        for command in (["angles"], ["volume"], ["sweep"], ["validate", "--mc-samples", "2000"]):
+        for command in ("check", "angles"):
+            code, _, _ = invoke([command, "--edges", edges])
+            assert code == (0 if a < 350 else 70), command
+        for command in (["volume"], ["sweep"], ["validate", "--mc-samples", "2000"]):
             code, out, err = invoke([*command, "--edges", edges])
             assert code == 70 and "numerical failure" in err, command
+
+    @pytest.mark.parametrize("a", [119.0, 150.0, 200.0, 236.0])
+    def test_angles_answer_where_the_cofactor_product_overflows(self, a):
+        # c_ii * c_jj overflows from a = 119, though each cofactor is finite
+        # up to 236: the norm is then taken as sqrt(c_ii) * sqrt(c_jj)
+        edges = ",".join(f"{k}={a!r}" for k in hytet.EDGE_KEYS)
+        code, doc, err = invoke_json(["angles", "--edges", edges])
+        assert (code, err) == (0, "")
+        exact = math.acos(1.0 / (2.0 + 1.0 / math.cosh(a)))
+        for value in doc["angles"]["radians"].values():
+            assert value == pytest.approx(exact, rel=0.0, abs=2.3e-16)
 
 
 class TestInput:
@@ -221,7 +236,7 @@ class TestInput:
         assert code == 64
 
     def test_environment_is_not_read(self, monkeypatch):
-        # these variables repeated a flag and a config key, and left no trace
+        # these variables repeated a flag, and left no trace
         # in the output
         plain = invoke(["validate", "--edges", ONES])
         assert plain[0] == 0
@@ -229,46 +244,29 @@ class TestInput:
             monkeypatch.setenv(name, value)
             assert invoke(["validate", "--edges", ONES]) == plain, name
 
-    def test_one_monte_carlo_sample_is_usage_error(self, tmp_path):
+    def test_one_monte_carlo_sample_is_usage_error(self):
         # one sample has no standard error, so z would pass vacuously
         flag = ["--mc-samples", "1", "--edges", ONES]
-        assert invoke(["validate"] + flag)[0] == 64
-        assert invoke(["volume", "--validate"] + flag)[0] == 64
-        doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")},
-               "config": {"mc_samples": 1}}
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc))
-        code, _, err = invoke(["validate", str(path)])
-        assert code == 64
-        assert err == (f"hytet: input error: samples must be an integer in [2, {MC_SAMPLES_MAX}],"
-                       " got 1\n")
+        for command in (["validate"], ["volume", "--validate"]):
+            assert invoke(command + flag) == (
+                64, "", f"hytet: input error: samples must be an integer in [2, {MC_SAMPLES_MAX}],"
+                " got 1\n")
         code, doc, _ = invoke_json(["validate", "--mc-samples", "2", "--edges", ONES])
         assert code != 64
         assert doc["volume"]["monte_carlo"]["error_estimate"] > 0
 
-    @pytest.mark.parametrize("source, samples, echo", [
-        ("flag", MC_SAMPLES_MAX + 1, str(MC_SAMPLES_MAX + 1)),
+    @pytest.mark.parametrize("samples, echo", [
+        (MC_SAMPLES_MAX + 1, str(MC_SAMPLES_MAX + 1)),
         # a long count is echoed as its first 20 digits and its length
-        ("flag", 10 ** 400, "1" + "0" * 19 + "... (401 characters)"),
-        ("config", MC_SAMPLES_MAX + 1, str(MC_SAMPLES_MAX + 1)),
-        # an integral float, a 301-digit count
-        ("config", 1e300, "10000000000000000525... (301 characters)"),
-    ], ids=["flag", "flag-1e400", "config", "config-1e300"])
-    def test_too_many_monte_carlo_samples_is_usage_error(
-            self, tmp_path, monkeypatch, source, samples, echo):
+        (10 ** 400, "1" + "0" * 19 + "... (401 characters)"),
+    ], ids=["flag", "flag-1e400"])
+    def test_too_many_monte_carlo_samples_is_usage_error(self, monkeypatch, samples, echo):
         drawn = []
         monkeypatch.setattr(hytet.cli, "volume_monte_carlo",
                             lambda *args: drawn.append(args))
-        doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")}}
-        argv = ["validate"]
-        if source == "flag":
-            argv += ["--mc-samples", str(samples)]
-        else:
-            doc["config"] = {"mc_samples": samples}
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc))
-        for command in (argv, ["volume", "--validate", *argv[1:]]):
-            code, out, err = invoke([*command, str(path)])
+        flag = ["--mc-samples", str(samples), "--edges", ONES]
+        for command in (["validate"], ["volume", "--validate"]):
+            code, out, err = invoke([*command, *flag])
             assert (code, out) == (64, "")
             assert err == (f"hytet: input error: samples must be an integer in "
                            f"[2, {MC_SAMPLES_MAX}], got {echo}\n")
@@ -281,63 +279,27 @@ class TestInput:
         assert invoke(["volume", "--mc-samples", str(MC_SAMPLES_MAX + 1),
                        "--edges", ONES])[0] == 64
 
-    @pytest.mark.parametrize("config, message", [
-        ({"mc_samples": "abc"}, "config mc_samples does not parse"),
-        ({"tol": None}, "config tol does not parse"),
-        ({"tol": "tight"}, "config tol does not parse"),
-        ({"seed": 1.5}, "config seed does not parse"),
-        ({"mc_samples": 2000.5}, "config mc_samples does not parse"),
-        ({"seed": True}, "config seed does not parse"),
-        ({"seed": [1]}, "config seed does not parse"),
-        (7, 'input document "config" must be a JSON object'),
-        ([], 'input document "config" must be a JSON object'),
-        (None, 'input document "config" must be a JSON object'),
-        ({"tol": 10 ** 400}, "config tol does not parse"),
-    ])
-    def test_malformed_config_is_usage_error(self, tmp_path, config, message):
-        doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")},
-               "config": config}
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = invoke(["validate", str(path)])
-        assert (code, out, err) == (64, "", f"hytet: input error: {message}\n")
+    @pytest.mark.parametrize("command", ["check", "angles", "volume", "sweep", "validate",
+                                         "volume --validate"])
+    @pytest.mark.parametrize("config", [{"tol": 1e-9, "mc_samples": 2000, "seed": 7}, {},
+                                        {"mc_sample": 2}, 7, None],
+                             ids=["settings", "empty", "misspelt", "number", "null"])
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "output-document"])
+    def test_document_config_is_usage_error(self, tmp_path, monkeypatch, command, config,
+                                            wrapped):
+        # a config block used to repeat --tol, --mc-samples and --seed; now
+        # it is refused before any route runs, well-formed or not
+        def no_route(*args):
+            raise AssertionError("a route ran")
 
-    @pytest.mark.parametrize("command, key", [
-        ("check", "tol"), ("check", "seed"), ("angles", "mc_samples"), ("sweep", "seed"),
-        ("sweep", "mc_samples"), ("volume", "samples"), ("validate", "mc_sample"),
-        ("validate", "validate"),
-    ])
-    def test_config_key_the_command_does_not_read_is_usage_error(self, tmp_path, command, key):
-        # an unknown or misspelt key used to be ignored without a word
+        monkeypatch.setattr(hytet.cli, "volume_edges", no_route)
+        monkeypatch.setattr(hytet.cli, "volume_monte_carlo", no_route)
+        doc = {"edges": {k: 1.0 for k in hytet.EDGE_KEYS}, "config": config}
         path = tmp_path / "input.json"
-        path.write_text(json.dumps({"edges": {k: 1.0 for k in hytet.EDGE_KEYS},
-                                    "config": {key: 2}}))
-        assert invoke([command, str(path)]) == (
-            64, "", f"hytet: input error: {command} reads no config key {key!r}\n")
-
-    @pytest.mark.parametrize("command, keys", [
-        ("check", {}), ("angles", {}), ("sweep", {"tol": 1e-9}),
-        ("volume", {"tol": 1e-9, "mc_samples": 2000, "seed": 7}),
-        ("validate", {"tol": 1e-9, "mc_samples": 2000, "seed": 7}),
-    ])
-    def test_each_command_reads_its_own_config_keys(self, tmp_path, command, keys):
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps({"edges": {k: 1.0 for k in hytet.EDGE_KEYS},
-                                    "config": keys}))
-        flags = [f"--{key.replace('_', '-')}={value}" for key, value in keys.items()]
-        code, out, err = invoke([command, str(path)])
-        assert (code, err) == (0, "")
-        assert invoke([command, *flags, "--edges", ONES]) == (code, out, err)
-
-    def test_integral_config_numbers_are_accepted(self, tmp_path):
-        doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")},
-               "config": {"mc_samples": 2000.0, "seed": 7.0, "tol": 1}}
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(doc))
-        code, out, _ = invoke_json(["volume", "--validate", str(path)])
-        assert code == 0
-        diagnostics = out["volume"]["monte_carlo"]["diagnostics"]
-        assert (diagnostics["seed"], out["volume"]["monte_carlo"]["evaluations"]) == (7, 2000)
+        path.write_text(json.dumps({"input": doc} if wrapped else doc))
+        assert invoke([*command.split(), str(path)]) == (
+            64, "", 'hytet: input error: the input document takes no "config": '
+            "give --tol, --mc-samples or --seed instead\n")
 
     @pytest.mark.parametrize("raw", [True, 10 ** 400], ids=["true", "1e400"])
     def test_malformed_edge_value_is_usage_error(self, tmp_path, raw):
@@ -351,7 +313,7 @@ class TestInput:
 
     @pytest.mark.parametrize("text", ["1_0", "１", "٣"],
                              ids=["underscore", "fullwidth", "arabic-indic"])
-    @pytest.mark.parametrize("source", ["edges", "document", "flag", "config", "environment"])
+    @pytest.mark.parametrize("source", ["edges", "document", "flag", "environment"])
     def test_number_text_must_be_an_ascii_decimal(self, tmp_path, monkeypatch, source, text):
         # float and int read these as 10, 1 and 3
         doc = {"edges": {k: 1.0 for k in ("l12", "l13", "l14", "l23", "l24", "l34")}}
@@ -364,9 +326,6 @@ class TestInput:
         elif source == "flag":
             argv.append(f"--mc-samples={text}")
             message = f"bad or missing value for --mc-samples: {text!r}"
-        elif source == "config":
-            doc["config"] = {"mc_samples": text}
-            message = "config mc_samples does not parse"
         else:  # no setting reads the environment, which so has no number text to refuse
             (tmp_path / "input.json").write_text(json.dumps(doc))
             plain = invoke(argv)
@@ -378,9 +337,8 @@ class TestInput:
 
     @pytest.mark.parametrize("name, source, text, number", [
         (name, source, text, number)
-        for name, source in [("mc_samples", "flag"), ("mc_samples", "config"),
-                             ("mc_samples", "environment"), ("seed", "flag"), ("seed", "config"),
-                             ("seed", "environment"), ("samples", "flag")]
+        for name, source in [("mc_samples", "flag"), ("mc_samples", "environment"),
+                             ("seed", "flag"), ("seed", "environment"), ("samples", "flag")]
         for text, number in [("20.0", 20), ("2e1", 20), ("18446744073709551615.0", 2 ** 64 - 1),
                              ("1.5", None), ("nan", None), ("inf", None)]
         if not (name == "samples" and number == 2 ** 64 - 1)  # a sweep that long never ends
@@ -400,8 +358,6 @@ class TestInput:
                     + ([] if name == "mc_samples" else ["--mc-samples", "20"]))
             if source == "flag":
                 argv.append(f"{flag}={value}")
-            elif source == "config":
-                doc["config"] = {name: value}
             elif value is not None:
                 monkeypatch.setenv(f"HYTET_{name.upper()}", str(value))
             path.write_text(json.dumps(doc))
@@ -412,8 +368,7 @@ class TestInput:
             assert plain[0] == 0 and request(text) == plain
             return
         if number is None:
-            message = {"flag": f"bad or missing value for {flag}: {text!r}",
-                       "config": f"config {name} does not parse"}[source]
+            message = f"bad or missing value for {flag}: {text!r}"
             assert request(text) == (64, "", f"hytet: input error: {message}\n")
             return
         answer = request(text)
@@ -911,13 +866,27 @@ class TestOneBattery:
     def test_valid_regular_tetrahedra_never_exit_2(self, a):
         # exists accepts every regular tetrahedron; an oracle that cannot
         # follow it there refuses the lengths as outside its domain
-        edges = ",".join(f"{k}={a!r}" for k in hytet.EDGE_KEYS)
+        self.assert_never_exit_2(",".join(f"{k}={a!r}" for k in hytet.EDGE_KEYS))
+
+
+    @pytest.mark.parametrize("scale", [(12.0, 20.0), (20.0, 40.0), (40.0, 80.0)],
+                             ids=["12-20", "20-40", "40-80"])
+    def test_valid_generator_tetrahedra_never_exit_2(self, scale):
+        # the generator rows of the regular test above: scalene tetrahedra
+        # that exists accepts.  Exit 70 still stands on some of them (failed
+        # checks, not refusals), so only 2 is ruled out
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            lengths = sample_lengths(rng, *scale)
+            self.assert_never_exit_2(",".join(f"{k}={v!r}" for k, v in lengths.as_dict().items()))
+
+    def assert_never_exit_2(self, edges):
         code, _, err = invoke(["validate", "--mc-samples", "2000", "--edges", edges])
-        assert code != 2, err
+        assert code != 2, (edges, err)
         if code == 64:
             assert err.startswith("hytet: input error: the lengths lie outside the domain of "
-                                  "the oracle ")
-            assert any(f" oracle {name}: " in err for name in self.ORACLES), err
+                                  "the oracle "), (edges, err)
+            assert any(f" oracle {name}: " in err for name in self.ORACLES), (edges, err)
 
 
 class TestOneRecord:
@@ -1053,3 +1022,26 @@ class TestImportCost:
             print("numpy" in sys.modules)
         """)
         assert out == "False"
+
+    def test_each_submodule_list_is_what_the_package_exports(self):
+        # volume's __all__ listed clausen, which hytet.clausen did not resolve
+        for name in SUBMODULES:
+            module = importlib.import_module(f"hytet.{name}")
+            listed = getattr(module, "__all__", None)
+            if listed is not None:
+                assert sorted(listed) == sorted(hytet._EXPORTS.get(name, ())), name
+                assert all(getattr(hytet, key) is getattr(module, key) for key in listed), name
+
+
+class TestScripts:
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_regular_volume_table_imports_its_checkout(self, tmp_path):
+        # run as README shows it, with no PYTHONPATH and from anywhere, it
+        # exited 1 with "No module named 'hytet'"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        script = self.ROOT / "scripts" / "regular_volume_table.py"
+        proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ideal ceiling 3 L(pi/3) = 1.0149416064\n")
