@@ -102,9 +102,7 @@ def front_end(argv: list[str]) -> tuple:
     """What ``cli.run`` builds before ``exists``: the lengths and the options."""
     args = cli._parse_args(argv, None)
     doc = cli._load_document(args)
-    lengths = cli._lengths_from_document(doc)
-    cli._settings(args)
-    return lengths, args
+    return cli._lengths_from_document(doc), args
 
 
 def check_document(report, args) -> int:

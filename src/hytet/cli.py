@@ -22,8 +22,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from types import SimpleNamespace
 
-from .config import (ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_Z_LIMIT, QUADRATURE_TOL, ROUTE_GAP_LIMIT,
-                     SCHLAFLI_LIMIT)
+from .config import ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_Z_LIMIT, ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT
 # unused here (the report builds E, C and the angles): hytetbench's tracer wraps these names here
 from .angles import dihedral_angles
 from .core import EDGE_KEYS, EdgeLengths, cofactors, edge_matrix_from_lengths, jacobi_residuals
@@ -178,7 +177,7 @@ def _load_document(args) -> dict:
         doc = doc["input"]
     if "config" in doc:  # settings come from flags alone
         raise _UsageError('the input document takes no "config": '
-                          "give --tol, --mc-samples or --seed instead")
+                          "give --mc-samples or --seed instead")
     return doc
 
 
@@ -224,16 +223,6 @@ def _lengths_from_document(doc: dict) -> EdgeLengths:
         except (TypeError, ValueError, OverflowError):
             raise _UsageError(f"edge {key} does not parse as a number: {raw!r}")
     return EdgeLengths(*values)  # DomainError on a negative or non-finite length
-
-
-def _settings(args) -> None:
-    """Check the settings args holds; for the commands that run Monte Carlo,
-    args.monte_carlo holds its checked config."""
-    # the quadrature sees tol only when it integrates, so it is checked here
-    if not args.tol > 0:  # NaN too
-        raise _UsageError("tolerance must be positive")
-    if args.command in _MONTE_CARLO:  # DomainError on a seed or sample count out of range
-        args.monte_carlo = MonteCarloConfig(seed=args.seed, samples=args.mc_samples)
 
 
 _FLAGS = ("exists", "degenerate", "tri_123_ok", "tri_124_ok", "l34_in_range")
@@ -347,9 +336,9 @@ def _battery(command: str, report, args, err):
     in standard errors, to the Monte Carlo one, and the embedding it built;
     E, C and the angles stay on the report.
     """
-    res = volume_edges(report, args.tol)
+    res = volume_edges(report)
     blocks = _angles_block(report)
-    sf = _oracle(volume_sforza, report.angles, args.tol)
+    sf = _oracle(volume_sforza, report.angles)
     emb = _oracle(embed_vertices, report.edge_matrix)
     mc = _oracle(volume_monte_carlo, emb, args.monte_carlo)
     doc = _report_doc(command, report)
@@ -362,7 +351,7 @@ def _battery(command: str, report, args, err):
 
 def _cmd_volume(report, args, out, err) -> int:
     if not args.validate:
-        res = volume_edges(report, args.tol)
+        res = volume_edges(report)
         block = _volume_block(res, err)
         _emit_report("volume", report, args, out, lambda: {"volume": {"edge_integral": block}},
                      (res.value, res.error_estimate, res.evaluations, res.route,
@@ -376,7 +365,7 @@ def _cmd_volume(report, args, out, err) -> int:
 
 
 def _cmd_sweep(report, args, out, err) -> int:
-    profile = volume_profile(report, args.samples, args.tol)
+    profile = volume_profile(report, args.samples)
     _warn_unconverged(err, profile.converged, "a sweep segment's volume")
     rows = [dict(zip(("t", "dVdt", "V"), row)) for row in profile]
 
@@ -456,8 +445,6 @@ _COMMANDS = {
 _MONTE_CARLO = ("volume", "validate")
 _OPTIONS = {
     "--edges": ("edges", str, "inline lengths: l12=..,l13=..,l14=..,l23=..,l24=..,l34=..", None),
-    "--tol": ("tol", _float, f"quadrature tolerance (default {QUADRATURE_TOL:g})",
-              ("volume", "sweep", "validate")),
     "--mc-samples": ("mc_samples", _int, f"Monte Carlo sample count (default {DEFAULT_MC_SAMPLES})",
                      _MONTE_CARLO),
     "--seed": ("seed", _int, f"Monte Carlo seed (default {DEFAULT_SEED})", _MONTE_CARLO),
@@ -496,10 +483,9 @@ def _parse_args(argv: list[str], out):
         print(_help(None), file=out)
         return None
     table, inputs, tokens = _TABLES[command], [], iter(argv[1:])
-    args = SimpleNamespace(command=command, edges=None, tol=QUADRATURE_TOL,
-                           mc_samples=DEFAULT_MC_SAMPLES, seed=DEFAULT_SEED,
-                           format="csv" if command == "sweep" else "json", validate=False,
-                           samples=DEFAULT_SWEEP_SAMPLES)
+    args = SimpleNamespace(command=command, edges=None, mc_samples=DEFAULT_MC_SAMPLES,
+                           seed=DEFAULT_SEED, format="csv" if command == "sweep" else "json",
+                           validate=False, samples=DEFAULT_SWEEP_SAMPLES)
     for token in tokens:
         if token == "--":
             inputs += tokens  # every later token, dashes or not
@@ -541,7 +527,8 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         lengths = _lengths_from_document(doc)
         if args.command not in ("check", "angles"):
             _import_routes()
-        _settings(args)
+        if args.command in _MONTE_CARLO:  # DomainError on a seed or sample count out of range
+            args.monte_carlo = MonteCarloConfig(seed=args.seed, samples=args.mc_samples)
         return _COMMANDS[args.command][0](exists(lengths), args, out, err)
     except (_UsageError, DomainError) as e:
         print(f"hytet: input error: {e}", file=err)

@@ -24,9 +24,9 @@ COS_CLAMP = 1e-12
 PIVOT_TOL = 1e-10
 
 # The quadratures' accuracy target: the summed error estimate is at most
-# tol * max(1, |value|).  The tight one is for results that feed a finite
-# difference (`validate`'s Schlafli check); the `--tol` of `volume`, `sweep` and
-# `validate` sets the other per request.
+# tol * max(1, |value|).  Every volume route integrates to QUADRATURE_TOL;
+# the tight one is for results that feed a finite difference (`validate`'s
+# Schlafli check).
 QUADRATURE_TOL = 1e-10
 TIGHT_QUADRATURE_TOL = 1e-13
 

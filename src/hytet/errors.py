@@ -60,15 +60,7 @@ class ExistenceError(NotATetrahedronError):
 
 
 class DegenerateError(NotATetrahedronError):
-    """The configuration is flat (zero volume) where a solid one is needed.
-
-    ``rank`` is set when the failure was detected as a rank drop during
-    the hyperboloid factorization.
-    """
-
-    def __init__(self, message: str, rank: int | None = None):
-        super().__init__(message)
-        self.rank = rank
+    """The configuration is flat (zero volume) where a solid one is needed."""
 
 
 class InconsistentAnglesError(NotATetrahedronError):

@@ -131,9 +131,7 @@ def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:
                     "edge matrix is not realizable: a hyperboloid pivot is "
                     f"negative ({value!r})"
                 )
-            raise DegenerateError(
-                f"flat configuration: embedding rank {rank} of 4", rank=rank
-            )
+            raise DegenerateError(f"flat configuration: embedding rank {rank} of 4")
         return math.sqrt(value)
 
     sh12 = pivot(a[0][1] ** 2 - 1.0, 1)

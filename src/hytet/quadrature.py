@@ -9,7 +9,9 @@ Each s panel takes the 7-point Gauss rule and its 15-point Kronrod
 extension (Piessens et al., QUADPACK, 1983); |K15 - G7| bounds the error of
 the far more accurate K15.  While the summed estimate exceeds
 ``tol * max(1, |total|)`` the panel with the largest one is halved, up to
-a cap; typical volume integrals stop at one panel of 15 evaluations.
+a cap; typical volume integrals stop at one panel of 15 evaluations.  tol
+is :mod:`hytet.config`'s QUADRATURE_TOL, or TIGHT_QUADRATURE_TOL for the
+Schlafli check; no caller sets another.
 
 Integrands receive f(x, dist_a, dist_b), the node with its distances
 dist_a = s^2 and dist_b = (s_max - s)(s_max + s) to the ends: near an end
@@ -23,7 +25,6 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .config import QUADRATURE_TOL
-from .errors import DomainError
 
 # Kronrod nodes x > 0 on [-1, 1], their weights, and the Gauss weights of x[1::2]
 _X = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
@@ -53,11 +54,8 @@ def integrate(
     """Integrate f from a, its singular end, to b; b < a flips the sign.
 
     Stops when the summed error estimate is at most
-    ``tol * max(1, |value|)``, or at the panel cap.  A tolerance that is
-    not positive raises DomainError.
+    ``tol * max(1, |value|)``, or at the panel cap.
     """
-    if not tol > 0.0:
-        raise DomainError(f"quadrature tolerance must be positive, got {tol!r}")
     if a == b:
         return QuadratureOutcome(0.0, 0.0, 0, True)
     sign = 1.0 if b > a else -1.0

@@ -213,7 +213,7 @@ class _EdgeIntegrand:
               for h, x in zip(halves, fixed)))
         self.guarded_nodes = 0
 
-    def integral(self, lower: float, upper: float, tol: float):
+    def integral(self, lower: float, upper: float, tol: float = QUADRATURE_TOL):
         """Quadrature of dV/dt from lower to upper, either way round, within
         [l1, l2]; the rule's singular end is the limit nearer a flat root."""
         lo, hi = min(lower, upper), max(lower, upper)
@@ -313,24 +313,17 @@ def volume_derivative(lengths: EdgeLengths, t: float) -> float:
     return _EdgeIntegrand(lengths, l34_bounds(*lengths.as_tuple()[:5])).derivative(t)
 
 
-def _result_from_quadrature(
-    outcome: quadrature.QuadratureOutcome,
-    route: str,
-    tol: float,
-    diagnostics: dict,
-) -> VolumeResult:
+def _result_from_quadrature(outcome: quadrature.QuadratureOutcome, route: str,
+                            diagnostics: dict) -> VolumeResult:
     value = outcome.value
-    if value < -max(tol, 10.0 * outcome.error):
+    if value < -max(QUADRATURE_TOL, 10.0 * outcome.error):
         raise NumericalError(f"volume quadrature returned {value!r}, negative beyond tolerance")
     diagnostics["clamped_negative"] = value < 0.0
     diagnostics["converged"] = outcome.converged
     return VolumeResult(max(value, 0.0), outcome.error, outcome.evaluations, route, diagnostics)
 
 
-def volume_edges(
-    lengths: EdgeLengths | ExistenceReport,
-    quad_tol: float = QUADRATURE_TOL,
-) -> VolumeResult:
+def volume_edges(lengths: EdgeLengths | ExistenceReport) -> VolumeResult:
     """Volume by the edge-length integral from the nearer flat bound to l34.
 
     V vanishes at both fold bounds, so V = int_{l1}^{l34} = -int_{l34}^{l2};
@@ -356,9 +349,9 @@ def volume_edges(
         diagnostics.update(guarded_nodes=0, clamped_negative=False, converged=True)
         return VolumeResult(0.0, 0.0, 0, "edge_integral", diagnostics)
 
-    outcome = integ.integral(l1 if l34 - l1 <= l2 - l34 else l2, l34, quad_tol)
+    outcome = integ.integral(l1 if l34 - l1 <= l2 - l34 else l2, l34)
     diagnostics["guarded_nodes"] = integ.guarded_nodes
-    return _result_from_quadrature(outcome, "edge_integral", quad_tol, diagnostics)
+    return _result_from_quadrature(outcome, "edge_integral", diagnostics)
 
 
 class VolumeProfile(list):
@@ -367,11 +360,7 @@ class VolumeProfile(list):
     converged = True
 
 
-def volume_profile(
-    lengths: EdgeLengths | ExistenceReport,
-    samples: int,
-    quad_tol: float = QUADRATURE_TOL,
-) -> VolumeProfile:
+def volume_profile(lengths: EdgeLengths | ExistenceReport, samples: int) -> VolumeProfile:
     """Rows (t, dV/dt, V) on ``samples`` equally spaced values of l34.
 
     The grid runs between the fold bounds l1 and l2, where V vanishes and
@@ -392,7 +381,7 @@ def volume_profile(
         lower, _, volume = rows[-1]
         last = k == samples - 1
         t = l2 if last else l1 + k * step
-        outcome = integ.integral(lower, t, quad_tol)
+        outcome = integ.integral(lower, t)
         volume += outcome.value
         rows.converged = rows.converged and outcome.converged
         rows.append((t, -math.inf if last else integ.derivative(t), volume))
@@ -447,7 +436,7 @@ def volume_regular(a: float) -> VolumeResult:
         "l1": 0.0, "l2": l2, "root_circle_distance": max(abs(abs(r) - 1.0) for r in z)})
 
 
-def volume_sforza(angles: DihedralAngles, quad_tol: float = QUADRATURE_TOL) -> VolumeResult:
+def volume_sforza(angles: DihedralAngles) -> VolumeResult:
     """Volume from dihedral angles by the one-angle logarithmic integral.
 
     det F and its (3, 4) cofactor are quadratics in y = cos t, fitted
@@ -512,9 +501,9 @@ def volume_sforza(angles: DihedralAngles, quad_tol: float = QUADRATURE_TOL) -> V
         return 0.25 * math.log((c34 - r) / (c34 + r))
 
     # the antiderivative runs from t0 downward
-    outcome = quadrature.integrate(f, t0, th34, quad_tol)
+    outcome = quadrature.integrate(f, t0, th34)
     diagnostics = {"t0": t0, "det_at_th34": d_start}
-    return _result_from_quadrature(outcome, "sforza", quad_tol, diagnostics)
+    return _result_from_quadrature(outcome, "sforza", diagnostics)
 
 
 def schlafli_residual(lengths: EdgeLengths | ExistenceReport, h: float) -> float:

@@ -287,8 +287,8 @@ class TestInput:
     @pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "output-document"])
     def test_document_config_is_usage_error(self, tmp_path, monkeypatch, command, config,
                                             wrapped):
-        # a config block used to repeat --tol, --mc-samples and --seed; now
-        # it is refused before any route runs, well-formed or not
+        # a config block used to repeat the settings flags; now it is
+        # refused before any route runs, well-formed or not
         def no_route(*args):
             raise AssertionError("a route ran")
 
@@ -299,7 +299,7 @@ class TestInput:
         path.write_text(json.dumps({"input": doc} if wrapped else doc))
         assert invoke([*command.split(), str(path)]) == (
             64, "", 'hytet: input error: the input document takes no "config": '
-            "give --tol, --mc-samples or --seed instead\n")
+            "give --mc-samples or --seed instead\n")
 
     @pytest.mark.parametrize("raw", [True, 10 ** 400], ids=["true", "1e400"])
     def test_malformed_edge_value_is_usage_error(self, tmp_path, raw):
@@ -679,10 +679,9 @@ class TestArgv:
     OWN = {
         "check": ["--edges", "--format", "--help"],
         "angles": ["--edges", "--format", "--help"],
-        "volume": ["--edges", "--tol", "--mc-samples", "--seed", "--format", "--validate",
-                   "--help"],
-        "sweep": ["--edges", "--tol", "--format", "--samples", "--help"],
-        "validate": ["--edges", "--tol", "--mc-samples", "--seed", "--format", "--help"],
+        "volume": ["--edges", "--mc-samples", "--seed", "--format", "--validate", "--help"],
+        "sweep": ["--edges", "--format", "--samples", "--help"],
+        "validate": ["--edges", "--mc-samples", "--seed", "--format", "--help"],
     }
 
     @pytest.mark.parametrize("command", OWN)
@@ -691,13 +690,15 @@ class TestArgv:
         assert code == 0
         listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
         assert listed == self.OWN[command]
-        for option in {name for names in self.OWN.values() for name in names} - set(listed):
+        # no command takes --tol: the quadrature tolerance is hytet.config's alone
+        options = {"--tol", *(name for names in self.OWN.values() for name in names)}
+        for option in options - set(listed):
             assert invoke([command, option, "2", "--edges", ONES]) == (
                 64, "", f"hytet: input error: unrecognized option {option}\n"), option
 
     @pytest.mark.parametrize("command, option, value", [
         ("check", "--edges", ONES),
-        ("validate", "--tol", "1e-3"),
+        ("validate", "--format", "csv"),
         ("validate", "--mc-samples", "3000"),
         ("validate", "--seed", "7"),
         ("angles", "--format", "csv"),

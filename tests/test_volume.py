@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -27,7 +28,7 @@ from hytet import (
 )
 from hytet import volume as volume_module
 from hytet import quadrature
-from hytet.config import SCHLAFLI_LIMIT, SWEEP_SAMPLES_MAX, TIGHT_QUADRATURE_TOL
+from hytet.config import QUADRATURE_TOL, SCHLAFLI_LIMIT, SWEEP_SAMPLES_MAX
 
 FIVE_ONES = dict(l12=1.0, l13=1.0, l14=1.0, l23=1.0, l24=1.0)
 
@@ -40,8 +41,8 @@ class TestVolumeDerivative:
     def test_matches_central_difference_of_volume(self):
         L = EdgeLengths(**FIVE_ONES, l34=1.0)
         h = 1e-5
-        vp = volume_edges(L.with_l34(1.0 + h), TIGHT_QUADRATURE_TOL).value
-        vm = volume_edges(L.with_l34(1.0 - h), TIGHT_QUADRATURE_TOL).value
+        vp = volume_edges(L.with_l34(1.0 + h)).value
+        vm = volume_edges(L.with_l34(1.0 - h)).value
         fd = (vp - vm) / (2 * h)
         exact = volume_derivative(L, 1.0)
         assert exact == pytest.approx(fd, rel=1e-6)
@@ -60,8 +61,8 @@ class TestVolumeDerivative:
         h = 1e-6
 
         def fd(t):
-            vp = volume_edges(base.with_l34(t + h), TIGHT_QUADRATURE_TOL).value
-            vm = volume_edges(base.with_l34(t - h), TIGHT_QUADRATURE_TOL).value
+            vp = volume_edges(base.with_l34(t + h)).value
+            vm = volume_edges(base.with_l34(t - h)).value
             return (vp - vm) / (2 * h)
 
         lo, hi = b.l1 + 0.2, b.l2 - 0.05
@@ -412,15 +413,35 @@ class TestReportInPlaceOfLengths:
 
 
 class TestQuadratureTolerance:
+    """Every volume route integrates to hytet.config's QUADRATURE_TOL; none
+    takes another."""
+
     @pytest.mark.parametrize("route", [
         volume_edges,
-        lambda lengths, tol: volume_profile(lengths, 5, tol),
-        lambda lengths, tol: volume_sforza(angles_of(lengths), tol),
+        lambda lengths: volume_profile(lengths, 5),
+        lambda lengths: volume_sforza(angles_of(lengths)),
     ], ids=["edges", "profile", "sforza"])
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
-    def test_nonpositive_tolerance_raises_on_each_route(self, route, tol):
-        with pytest.raises(DomainError):
-            route(EdgeLengths(**FIVE_ONES, l34=1.0), tol)
+    @pytest.mark.parametrize("lengths", [
+        EdgeLengths(**FIVE_ONES, l34=1.0),
+        EdgeLengths(*[2.0] * 6),
+        EdgeLengths(l12=1.0, l13=1.2, l14=0.9, l23=1.1, l24=1.3, l34=1.0),
+    ], ids=["regular-1", "regular-2", "irregular"])
+    def test_each_route_integrates_at_the_config_tolerance(self, monkeypatch, route, lengths):
+        integrate, outcomes = quadrature.integrate, []
+
+        def record(*args):
+            call = inspect.signature(integrate).bind(*args)
+            call.apply_defaults()
+            outcomes.append((call.arguments["tol"], integrate(*args)))
+            return outcomes[-1][1]
+
+        monkeypatch.setattr(quadrature, "integrate", record)
+        route(lengths)
+        assert outcomes
+        for tol, out in outcomes:
+            assert tol == QUADRATURE_TOL
+            assert out.converged
+            assert out.error <= QUADRATURE_TOL * max(1.0, abs(out.value))
 
 
 class TestConvergence:
