@@ -18,7 +18,9 @@ The environment is passed on as found, its bytecode setting included, and
 the header line says which one the starts ran under.  With
 PYTHONDONTWRITEBYTECODE set, every start compiles each ``src`` file it
 imports; without it, the uncounted round writes ``__pycache__`` and the
-timed starts read it.
+timed starts read it.  The header also gives OPENBLAS_NUM_THREADS as found:
+the CLI sets it to 1 only where it is unset, so a preset value decides how
+many threads numpy's OpenBLAS starts in ``validate``.
 
 Usage: python scripts/cold_start.py [CHECKOUT ...]
 """
@@ -80,7 +82,8 @@ def main() -> None:
     procs = processes(checkouts)
 
     print(f"cold starts: {ROUNDS} rounds of {len(procs)} processes, python "
-          f"{platform.python_version()}; {bytecode_setting()}")
+          f"{platform.python_version()}; {bytecode_setting()}; OPENBLAS_NUM_THREADS "
+          f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset (the CLI sets 1)')}")
     times = {label: [] for label, *_ in procs}
     for round_ in range(-1, ROUNDS):  # round -1 is not counted
         for label, argv, env, cwd in (procs if round_ % 2 == 0 else procs[::-1]):

@@ -11,12 +11,14 @@ Exit codes are a stable contract:
     64  malformed input or usage, or lengths outside the domain of an
         oracle that `validate` or `volume --validate` runs
     70  internal numerical failure
+    74  stdout could not be written (a closed pipe, a full disk)
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -70,6 +72,7 @@ EXIT_OK = 0
 EXIT_NOT_A_TETRAHEDRON = 2
 EXIT_USAGE = 64
 EXIT_NUMERICAL = 70
+EXIT_IO = 74  # EX_IOERR, as 64 and 70 come from sysexits
 
 DEFAULT_SEED = 42
 DEFAULT_MC_SAMPLES = 200_000
@@ -547,7 +550,18 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # Monte Carlo splits its own blocks
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as e:  # stdout to devnull: the flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            print(f"hytet: output error: {e.strerror}", file=sys.stderr)
+        except OSError:
+            pass
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -83,10 +83,6 @@ class VertexEmbedding(namedtuple("VertexEmbedding", ("vertices", "gram_resid")))
 
     __slots__ = ()
 
-    def length(self, i: int, j: int) -> float:
-        """Hyperbolic distance between embedded vertices i and j."""
-        return math.acosh(max(1.0, -_mdot(self.vertices[i], self.vertices[j])))
-
 
 class MonteCarloConfig(namedtuple("MonteCarloConfig", ("seed", "samples"))):
     """Sampling parameters for the Klein-model volume estimator.
@@ -146,11 +142,8 @@ def embed_vertices(E: EdgeMatrix) -> VertexEmbedding:
     z = pivot(s * s - u * u - w * w - 1.0, 3)
     v = ((1.0, 0.0, 0.0, 0.0), (a[0][1], sh12, 0.0, 0.0), (p, q, r, 0.0), (s, u, w, z))
 
-    resid = 0.0
-    for i in range(4):
-        for j in range(i, 4):
-            target = -1.0 if i == j else -a[i][j]
-            resid = max(resid, abs(_mdot(v[i], v[j]) - target))
+    # the largest gap of <v_i, v_j> from its target -E_ij (E's diagonal is 1)
+    resid = max(abs(_mdot(v[i], v[j]) + a[i][j]) for i in range(4) for j in range(i, 4))
     return VertexEmbedding(vertices=v, gram_resid=resid)
 
 
@@ -161,37 +154,35 @@ def dihedral_angles_geometric(emb: VertexEmbedding) -> DihedralAngles:
     angles between the edges leaving j come from the hyperbolic law of
     cosines on the faces, and the spherical law of cosines on the vertex
     figure turns them into the dihedral angle along the edge toward i.
-    Never consults cofactors, so it is a genuinely independent check of
-    the algebraic angle route.
+    cosh l_ij is -<v_i, v_j> and a face angle stays a clamped cosine, so
+    acos is taken only for the six dihedral angles.  Never consults
+    cofactors: a genuinely independent check of the algebraic angle route.
     """
-    lm = [[emb.length(i, j) if i != j else 0.0 for j in range(4)] for i in range(4)]
-    ch = [[math.cosh(x) for x in row] for row in lm]
-    sh = [[math.sinh(x) for x in row] for row in lm]
+    ch = [[max(1.0, -_mdot(p, q)) for q in emb.vertices] for p in emb.vertices]
+    sh = [[math.sqrt((c - 1.0) * (c + 1.0)) for c in row] for row in ch]
 
-    def face_angle(x: int, v: int, y: int) -> float:
+    def face_angle(x: int, v: int, y: int) -> tuple[float, float]:
         denom = sh[v][x] * sh[v][y]
         if denom <= PIVOT_TOL:
             raise DegenerateError("coinciding vertices in the embedding")
-        c = (ch[v][x] * ch[v][y] - ch[x][y]) / denom
-        return math.acos(min(1.0, max(-1.0, c)))
+        c = min(1.0, max(-1.0, (ch[v][x] * ch[v][y] - ch[x][y]) / denom))
+        return c, math.sqrt(1.0 - c * c)
 
     values = {}
     for (i, j) in EDGE_PAIRS:
         k, l = opposite_pair(i, j)
-        side_kl = face_angle(k, j, l)
-        side_ki = face_angle(k, j, i)
-        side_li = face_angle(l, j, i)
-        denom = math.sin(side_ki) * math.sin(side_li)
+        cos_kl = face_angle(k, j, l)[0]
+        cos_ki, sin_ki = face_angle(k, j, i)
+        cos_li, sin_li = face_angle(l, j, i)
+        denom = sin_ki * sin_li
         if denom <= PIVOT_TOL:
             raise DegenerateError("flat vertex figure in the embedding")
-        c = (math.cos(side_kl) - math.cos(side_ki) * math.cos(side_li)) / denom
+        c = (cos_kl - cos_ki * cos_li) / denom
         values[f"th{i + 1}{j + 1}"] = math.acos(min(1.0, max(-1.0, c)))
     return DihedralAngles(**values)
 
 
-def volume_monte_carlo(
-    emb: VertexEmbedding, cfg: MonteCarloConfig
-) -> VolumeResult:
+def volume_monte_carlo(emb: VertexEmbedding, cfg: MonteCarloConfig) -> VolumeResult:
     """Monte Carlo volume in the Klein model.
 
     Uniform points in the Euclidean image tetrahedron are drawn as four
@@ -203,31 +194,29 @@ def volume_monte_carlo(
     w^T M w sums positive terms and loses no digits near the ideal
     boundary, where 1 - |x|^2 formed from |x|^2 would.  The hyperbolic
     volume is the Euclidean volume times the mean density; the returned
-    ``error_estimate`` is one standard error.  Past block 0 the blocks split
-    into runs of 8 or more, one per usable CPU, each on its own thread and
-    Philox counter; block sums reduce in block order, bit for bit as one run.
+    ``error_estimate`` is one standard error.  The blocks split into runs of
+    8 or more, one per usable CPU, each on its own thread and Philox counter.
+    Block sums, and squares about the block means, merge as in Chan, Golub and
+    LeVeque (Amer. Statist. 37, 1983), bit for bit as one run.
     """
     import numpy as np
 
     k = [[x / row[0] for x in row[1:]] for row in emb.vertices]
     vol_eucl = abs(det3([[x - x1 for x, x1 in zip(row, k[0])] for row in k[1:]])) / 6.0
     v = np.array(emb.vertices)
-    x0 = v[:, 0]
     # Minkowski products in signature (-, +, +, +)
-    m = -(v @ np.diag([-1.0, 1.0, 1.0, 1.0]) @ v.T) / np.outer(x0, x0)
+    m = -(v @ np.diag([-1.0, 1.0, 1.0, 1.0]) @ v.T) / np.outer(v[:, 0], v[:, 0])
 
     n = operator.index(cfg.samples)
-    # block 0 first: its mean is the shift that keeps a tiny spread from cancelling
-    stats, shift = _block_stats(cfg.seed, m, n, 0, 1, None)
-    rest = (n - 1) // _REDUCE_BLOCK  # the other blocks, in one run per usable CPU
+    blocks = -(-n // _REDUCE_BLOCK)  # block 0 too: in one run per usable CPU
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    runs = max(1, min(cpus or 1, rest // _MIN_RUN_BLOCKS))
-    bounds = [1 + rest * r // runs for r in range(runs + 1)]
+    runs = max(1, min(cpus or 1, blocks // _MIN_RUN_BLOCKS))
+    bounds = [blocks * r // runs for r in range(runs + 1)]
     parts: list = [None] * runs
 
     def run(r: int) -> None:
         try:
-            parts[r] = _block_stats(cfg.seed, m, n, bounds[r], bounds[r + 1], shift)[0]
+            parts[r] = _block_stats(cfg.seed, m, n, bounds[r], bounds[r + 1])
         except BaseException as exc:  # raised again below, never dropped
             parts[r] = exc
 
@@ -240,23 +229,22 @@ def volume_monte_carlo(
         for t in threads:  # every started thread is joined: none outlives the call
             if t.ident is not None:
                 t.join()
+    stats = []
     for part in parts:
         if isinstance(part, BaseException):
             raise part
         stats += part
-    dev_sum = dev_sumsq = 0.0
-    for total, count, sumsq in stats:  # in block order, as one serial loop would
-        dev_sum += total - count * shift
-        dev_sumsq += sumsq
-    mean = float(np.sum(np.asarray([total for total, _, _ in stats]))) / n
-    variance = max(dev_sumsq / n - (dev_sum / n) ** 2, 0.0)
-    return VolumeResult(vol_eucl * mean, vol_eucl * math.sqrt(variance / n), n, "monte_carlo",
+    mean = float(np.sum(np.asarray([total for total, *_ in stats]))) / n
+    # per block, sum (x - mean)^2 = sumsq + d (count d + 2 resid), d = total / count - mean
+    m2 = math.fsum(sumsq + (total / count - mean) * ((total / count - mean) * count + 2.0 * resid)
+                   for total, count, resid, sumsq in stats)
+    return VolumeResult(vol_eucl * mean, vol_eucl * math.sqrt(m2 / n / n), n, "monte_carlo",
                         {"euclidean_volume": vol_eucl, "seed": cfg.seed})
 
 
-def _block_stats(seed, m, n, first, stop, shift):
-    """(sum, count, sum of squares about shift) per block in [first, stop) on
-    a generator and buffers of its own, and the shift (None: block 0's mean)."""
+def _block_stats(seed, m, n, first, stop):
+    """(sum, count, and the sum and sum of squares of the deviations from
+    sum / count) per block in [first, stop), on a generator and buffers of its own."""
     import numpy as np
 
     gen = np.random.Generator(np.random.Philox(key=seed, counter=[first * _REDUCE_BLOCK, 0, 0, 0]))
@@ -272,12 +260,10 @@ def _block_stats(seed, m, n, first, stop, shift):
         np.matmul(w, ones, out=s)
         np.matmul(np.multiply(np.matmul(w, m, out=wm), w, out=wm), ones, out=q)  # w^T M w
         density = np.square(np.divide(np.square(s, out=s), q, out=s), out=s)  # (s^2/q)^2
-        total = float(np.sum(density))
-        if shift is None:
-            shift = total / min(_REDUCE_BLOCK, n)
-        density -= shift
-        stats.append((total, count, float(density @ density)))
-    return stats, shift
+        total = float(density.sum())
+        density -= total / count
+        stats.append((total, count, float(density.sum()), float(density @ density)))
+    return stats
 
 
 def euclidean_volume_cm(lengths: EdgeLengths) -> float:

@@ -1034,6 +1034,66 @@ class TestImportCost:
                 assert all(getattr(hytet, key) is getattr(module, key) for key in listed), name
 
 
+class TestMain:
+    """The process entry point: its exit on a failed write, and its OpenBLAS default."""
+
+    SRC = str(Path(hytet.__file__).resolve().parent.parent)
+
+    def process(self, argv, stdout, **env):
+        return subprocess.run([sys.executable, "-m", "hytet.cli", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=self.SRC, **env))
+
+    def assert_output_error(self, proc):
+        # it printed a BrokenPipeError or OSError traceback and exited 1
+        assert proc.returncode == 74
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("hytet: output error: "), proc.stderr
+
+    def test_closed_pipe_exits_74(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the process starts: its first write fails
+        try:
+            proc = self.process(["check", "--edges", ONES], write_end)
+        finally:
+            os.close(write_end)
+        self.assert_output_error(proc)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_exits_74(self):
+        with open("/dev/full", "w") as full:
+            proc = self.process(["check", "--edges", ONES], full)
+        self.assert_output_error(proc)
+
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_main_sets_openblas_threads_only_when_unset(self, monkeypatch, capsys, preset):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset by the test")  # restored after it
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        monkeypatch.setattr(sys, "argv", ["hytet", "check", "--edges", ONES])
+        with pytest.raises(SystemExit) as info:
+            hytet.cli.main()
+        assert info.value.code == 0
+        assert json.loads(capsys.readouterr().out)["existence"]["exists"] is True
+        assert os.environ["OPENBLAS_NUM_THREADS"] == (preset or "1")
+
+    def test_run_leaves_the_environment_unchanged(self):
+        before = dict(os.environ)
+        code, _, _ = invoke(["validate", "--mc-samples", "2000", "--edges", ONES])
+        assert code == 0 and dict(os.environ) == before
+
+    def test_openblas_threads_do_not_change_the_output(self):
+        # 70,000 samples split their blocks on two CPUs
+        outs = [self.process(["validate", "--mc-samples", "70000", "--edges", ONES],
+                             subprocess.PIPE, OPENBLAS_NUM_THREADS=threads)
+                for threads in ("1", "2")]
+        assert [proc.returncode for proc in outs] == [0, 0]
+        assert outs[0].stdout == outs[1].stdout
+
+
 class TestScripts:
     ROOT = Path(__file__).resolve().parent.parent
 
