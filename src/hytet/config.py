@@ -36,7 +36,7 @@ ANGLE_GAP_LIMIT = 1e-9
 ROUTE_GAP_LIMIT = 1e-6
 MC_Z_LIMIT = 4.0
 SCHLAFLI_LIMIT = 1e-8
-MC_SAMPLES_MAX = 10**8  # 4.4-8 s at 44-82 ms per 10^6 on one CPU (scripts/layer_times.py)
+MC_SAMPLES_MAX = 10**8  # 4.6-9.2 s at 46-92 ms per 10^6 in one run (scripts/layer_times.py)
 # `volume_profile`'s sample cap (`sweep --samples`): 6.7-7.1 s and a 64 MB peak
 # resident set at 10^5 rows on one CPU
 SWEEP_SAMPLES_MAX = 10**5

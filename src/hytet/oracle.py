@@ -25,9 +25,10 @@ check and not a tautology:
   -<v_i, v_j> / (x0_i x0_j) = cosh(l_ij) / (x0_i x0_j) comes from the
   embedding's own inner products; every entry is positive, so the form has
   no cancellation.  Sampling is counter-based: sample i always consumes
-  block i of a Philox stream keyed by the seed, and samples are drawn and
-  summed in fixed 4096-sample blocks, so the estimate depends only on
-  (seed, samples), not on how the blocks split into runs across CPUs.
+  block i of a Philox stream keyed by the seed, and samples are summed in
+  fixed 4096-sample blocks, drawn ``_CHUNK_BLOCKS`` blocks to a numpy pass,
+  so the estimate depends only on (seed, samples), not on how the blocks
+  split into runs across CPUs or into passes.
 
 * ``euclidean_volume_cm`` and ``lobachevsky`` (half the Clausen function
   Cl2(2x), :func:`hytet.volume.clausen`) supply the flat-limit and
@@ -67,6 +68,9 @@ __all__ = [
 _REDUCE_BLOCK = 4096
 # a run of blocks gets at least this many, or its thread costs more than it saves
 _MIN_RUN_BLOCKS = 8
+# each numpy call works on this many whole blocks at once: 80 bytes of buffers
+# per sample, 1.3 MB per run
+_CHUNK_BLOCKS = 4
 
 
 def _mdot(u, v) -> float:
@@ -195,9 +199,10 @@ def volume_monte_carlo(emb: VertexEmbedding, cfg: MonteCarloConfig) -> VolumeRes
     boundary, where 1 - |x|^2 formed from |x|^2 would.  The hyperbolic
     volume is the Euclidean volume times the mean density; the returned
     ``error_estimate`` is one standard error.  The blocks split into runs of
-    8 or more, one per usable CPU, each on its own thread and Philox counter.
+    8 or more, one per usable CPU, each on its own thread, Philox counter and
+    buffers, which it fills ``_CHUNK_BLOCKS`` blocks to a numpy call.
     Block sums, and squares about the block means, merge as in Chan, Golub and
-    LeVeque (Amer. Statist. 37, 1983), bit for bit as one run.
+    LeVeque (Amer. Statist. 37, 1983), bit for bit as one run of one block a call.
     """
     import numpy as np
 
@@ -244,25 +249,32 @@ def volume_monte_carlo(emb: VertexEmbedding, cfg: MonteCarloConfig) -> VolumeRes
 
 def _block_stats(seed, m, n, first, stop):
     """(sum, count, and the sum and sum of squares of the deviations from
-    sum / count) per block in [first, stop), on a generator and buffers of its own."""
+    sum / count) per block in [first, stop), on a generator and buffers of its own.
+    Each numpy call takes up to ``_CHUNK_BLOCKS`` whole blocks as the rows of one
+    array, and so hands the GIL to another run less often; a partial block runs alone."""
     import numpy as np
 
     gen = np.random.Generator(np.random.Philox(key=seed, counter=[first * _REDUCE_BLOCK, 0, 0, 0]))
-    w_buf, wm_buf = np.empty((2, _REDUCE_BLOCK, 4))  # reused: no allocation per block
-    s_buf, q_buf = np.empty((2, _REDUCE_BLOCK))
+    size = min(_CHUNK_BLOCKS, stop - first) * _REDUCE_BLOCK
+    w_buf, wm_buf = np.empty((2, size, 4))  # reused across passes
+    s_buf, q_buf = np.empty((2, size))
     ones = np.ones(4)
     stats = []
-    for start in range(first * _REDUCE_BLOCK, min(stop * _REDUCE_BLOCK, n), _REDUCE_BLOCK):
-        count = min(_REDUCE_BLOCK, n - start)
+    while first < stop:
+        k = min(_CHUNK_BLOCKS, stop - first, n // _REDUCE_BLOCK - first) or 1  # partial: alone
+        count = min(k * _REDUCE_BLOCK, n - first * _REDUCE_BLOCK)
         w, wm, s, q = w_buf[:count], wm_buf[:count], s_buf[:count], q_buf[:count]
         # w = log1p(-u) is minus the exponential weights; the sign cancels below
         np.log1p(np.negative(gen.random(out=w), out=w), out=w)
         np.matmul(w, ones, out=s)
         np.matmul(np.multiply(np.matmul(w, m, out=wm), w, out=wm), ones, out=q)  # w^T M w
         density = np.square(np.divide(np.square(s, out=s), q, out=s), out=s)  # (s^2/q)^2
-        total = float(density.sum())
-        density -= total / count
-        stats.append((total, count, float(density.sum()), float(density @ density)))
+        rows = density.reshape(k, -1)  # one row per block
+        totals = rows.sum(axis=1)
+        rows -= (totals / rows.shape[1])[:, None]
+        stats += zip(totals.tolist(), [rows.shape[1]] * k, rows.sum(axis=1).tolist(),
+                     np.matmul(rows[:, None], rows[:, :, None]).ravel().tolist())  # row @ row
+        first += k
     return stats
 
 

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -241,21 +242,43 @@ class TestMonteCarlo:
             )
             assert np.array_equal(gen.random((count, 4)), jumped.random((count, 4)))
 
-    @pytest.mark.parametrize("name", MC_EDGES)
-    @pytest.mark.parametrize("samples", [2, 4095, 4096, 4097, 8 * 4096 + 1, 200_000, 1_000_003])
-    def test_split_into_runs_is_bit_identical(self, monkeypatch, name, samples):
-        # one run of blocks per CPU, down to one block per run: the same
-        # bits as a single run for every run count
+    @pytest.mark.parametrize("edges", [*MC_EDGES.values(), (1e-4,) * 6],
+                             ids=[*MC_EDGES, "regular_1e-4"])
+    @pytest.mark.parametrize("samples", [2, 4095, 4096, 4097, 8 * 4096 + 1, 16384, 16385,
+                                         61441, 200_000, 1_000_003])
+    def test_split_into_runs_is_bit_identical(self, monkeypatch, edges, samples):
+        # one run of blocks per CPU, down to one block per run, and one block
+        # per numpy pass or several: the same bits as a single run for every
+        # run count and pass size, the trailing partial block alone or not
         monkeypatch.setattr(oracle, "_MIN_RUN_BLOCKS", 1)
-        emb = mc_embedding(name)
+        emb = embed_vertices(edge_matrix_from_lengths(EdgeLengths(*edges)))
         for seed in (0, 42, 2 ** 64 - 1):
             cfg = MonteCarloConfig(seed=seed, samples=samples)
             results = []
             for cpus in (1, 2, 3):
                 with_cpus(monkeypatch, cpus)
-                mc = volume_monte_carlo(emb, cfg)
-                results.append((mc.value.hex(), mc.error_estimate.hex()))
-            assert results[1] == results[0] and results[2] == results[0]
+                for chunk in (1, 2, 3, 4, 7):
+                    monkeypatch.setattr(oracle, "_CHUNK_BLOCKS", chunk)
+                    mc = volume_monte_carlo(emb, cfg)
+                    results.append((mc.value.hex(), mc.error_estimate.hex()))
+            assert results == results[:1] * len(results), (seed, results)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_buffers_stay_within_80_bytes_per_sample_of_a_pass(self, monkeypatch, cpus):
+        # each run holds two (pass, 4) and two (pass,) float64 buffers for a
+        # pass of _CHUNK_BLOCKS blocks of 4096 samples; the slack covers
+        # numpy's 64 KiB iteration buffer and the block records, per run
+        with_cpus(monkeypatch, cpus)
+        emb = mc_embedding("scalene")
+        cfg = MonteCarloConfig(seed=1, samples=200_000)
+        volume_monte_carlo(emb, cfg)
+        tracemalloc.start()
+        try:
+            volume_monte_carlo(emb, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cpus * (oracle._CHUNK_BLOCKS * 4096 * 80 + 128 * 1024)
 
     @pytest.mark.parametrize("samples, cpus, runs", [
         (10_000, 3, 1), (8 * 4096, 3, 1), (8 * 4096 + 1, 3, 1), (15 * 4096, 2, 1),
