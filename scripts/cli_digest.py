@@ -54,15 +54,11 @@ EXTRA_CASES = (
 )
 COMMANDS = (
     ("check",),
-    ("check", "--format", "csv"),
     ("angles",),
-    ("angles", "--format", "csv"),
     ("volume",),
-    ("volume", "--format", "csv"),
-    ("volume", "--validate", "--mc-samples", "2000"),
+    ("volume", "--validate"),
     ("sweep",),
-    ("sweep", "--format", "json"),
-    ("validate", "--mc-samples", "2000"),
+    ("validate",),
 )
 
 

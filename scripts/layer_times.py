@@ -18,20 +18,20 @@ evaluations.
 - Monte Carlo draws 10,000 samples per case (seed: the case's index), so
   one pass draws 10^6 samples and its row is the time of the whole pass.
   That stays below the size at which the oracle splits its blocks across
-  threads.  A second Monte Carlo row draws validate's default 200,000
-  samples on each of the first 10 cases and reports the time per call,
-  which runs on up to one thread per usable CPU.
+  threads.  A second Monte Carlo row draws validate's 200,000 samples
+  (``hytet.config.MC_SAMPLES``) on each of the first 10 cases and reports
+  the time per call, which runs on up to one thread per usable CPU.
 - The ``cli.run`` rows send one request of each of the other four
   subcommands per case through ``hytet.cli.run`` (the lengths as
   ``--edges``, output to a discarded buffer): the whole front end, argv
   to printed document.
-  ``sweep`` takes its default 33 samples; ``validate`` takes its default
-  200,000 Monte Carlo samples and, as the second Monte Carlo row, runs on
-  the first 10 cases only.
+  ``sweep`` takes its default 33 samples; ``validate`` draws its 200,000
+  Monte Carlo samples and, as the second Monte Carlo row, runs on the
+  first 10 cases only.
 - ``check`` is timed in the three steps ``run`` takes: the front end (argv
-  parsed, the ``--edges`` document read into ``EdgeLengths`` and the
-  settings checked), ``exists``, and the document text (``check``'s
-  handler writing the JSON to a discarded buffer).  Each step starts from
+  parsed and the ``--edges`` document read into ``EdgeLengths``),
+  ``exists``, and the document text (``check``'s handler writing the JSON
+  to a discarded buffer).  Each step starts from
   what the step before it built.  A line after the table sets the front
   end beside ``exists``.
 
@@ -74,12 +74,13 @@ from hytet import (  # noqa: E402
     volume_sforza,
 )
 from hytet import cli  # noqa: E402
+from hytet.config import MC_SAMPLES as MC_VALIDATE_SAMPLES  # noqa: E402
 
 ACCEPTANCE_SEED = 20240817
 PASSES = 5
 MC_SAMPLES = 10_000
 MONTE_CARLO = "volume_monte_carlo, per 10^6 samples"
-MC_VALIDATE_SAMPLES, MC_VALIDATE_CASES = 200_000, 10
+MC_VALIDATE_CASES = 10
 
 
 def timed(fn, args) -> tuple[float, list]:

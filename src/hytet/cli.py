@@ -2,7 +2,7 @@
 
 Subcommands: check, angles, volume, sweep, validate.  Input is a JSON
 document with the six edge lengths (or the --edges inline form); output is
-a JSON document on stdout (CSV for sweep), diagnostics on stderr.
+a JSON document on stdout (a CSV table for sweep), diagnostics on stderr.
 
 Exit codes are a stable contract:
     0   success
@@ -24,7 +24,8 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from types import SimpleNamespace
 
-from .config import ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_Z_LIMIT, ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT
+from .config import (ANGLE_GAP_LIMIT, JACOBI_LIMIT, MC_SAMPLES, MC_SEED, MC_Z_LIMIT,
+                     ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT)
 # unused here (the report builds E, C and the angles): hytetbench's tracer wraps these names here
 from .angles import dihedral_angles
 from .core import EDGE_KEYS, EdgeLengths, cofactors, edge_matrix_from_lengths, jacobi_residuals
@@ -74,8 +75,6 @@ EXIT_USAGE = 64
 EXIT_NUMERICAL = 70
 EXIT_IO = 74  # EX_IOERR, as 64 and 70 come from sysexits
 
-DEFAULT_SEED = 42
-DEFAULT_MC_SAMPLES = 200_000
 DEFAULT_SWEEP_SAMPLES = 33
 
 
@@ -179,8 +178,7 @@ def _load_document(args) -> dict:
     if "edges" not in doc and isinstance(doc.get("input"), dict):
         doc = doc["input"]
     if "config" in doc:  # settings come from flags alone
-        raise _UsageError('the input document takes no "config": '
-                          "give --mc-samples or --seed instead")
+        raise _UsageError('the input document takes no "config"')
     return doc
 
 
@@ -248,12 +246,10 @@ def _existence_block(report) -> dict:
     return block
 
 
-def _emit_report(command: str, report, args, out, blocks=dict, leaves=()) -> None:
-    """_emit of command's document on report: _report_doc's keys, then those of
+def _emit_report(command: str, report, out, blocks=dict, leaves=()) -> None:
+    """Print command's document on report: _report_doc's keys, then those of
     blocks(), whose scalars in order are leaves.  The JSON fills a template cached
     per shape: command, the report's failure count and whether it has bounds."""
-    if args.format == "csv":
-        return _emit({**_report_doc(command, report), **blocks()}, args, out)
     shape = (command, len(report.failed), report.bounds is None)
     if shape not in _TEMPLATES:  # JSON text escapes NUL, so each NUL left marks a scalar
         parts = []
@@ -299,7 +295,7 @@ def _angles_block(report) -> dict:
 
 
 def _cmd_check(report, args, out, err) -> int:
-    _emit_report("check", report, args, out)
+    _emit_report("check", report, out)
     return EXIT_OK if report.exists else EXIT_NOT_A_TETRAHEDRON
 
 
@@ -308,7 +304,7 @@ def _cmd_angles(report, args, out, err) -> int:
         raise ExistenceError.from_report(report)
     C, th = report.cofactors, report.angles
     radians = th.as_tuple()  # then _angles_block's scalars in its order
-    _emit_report("angles", report, args, out, lambda: _angles_block(report),
+    _emit_report("angles", report, out, lambda: _angles_block(report),
                  (*radians, *map(math.degrees, radians), th.clamped, C.delta, *C.diagonal))
     return EXIT_OK
 
@@ -328,22 +324,22 @@ def _oracle(route, *args):
                           f"{route.__name__}: {e}") from e
 
 
-def _battery(command: str, report, args, err):
+def _battery(command: str, report, err):
     """The cross-route battery `validate` and `volume --validate` share.
 
     Runs each route once, in one order: the edge volume, E, the cofactors
-    and angles, the Sforza volume, the embedding, Monte Carlo; where two
-    fail, the first one is reported, a refusal by one of the last three as
-    a DomainError (_oracle).  Returns the document with the three volume
-    blocks and the angles, the edge volume's gaps to the Sforza volume and,
-    in standard errors, to the Monte Carlo one, and the embedding it built;
-    E, C and the angles stay on the report.
+    and angles, the Sforza volume, the embedding, Monte Carlo at MC_SEED
+    and MC_SAMPLES; where two fail, the first one is reported, a refusal by
+    one of the last three as a DomainError (_oracle).  Returns the document
+    with the three volume blocks and the angles, the edge volume's gaps to
+    the Sforza volume and, in standard errors, to the Monte Carlo one, and
+    the embedding it built; E, C and the angles stay on the report.
     """
     res = volume_edges(report)
     blocks = _angles_block(report)
     sf = _oracle(volume_sforza, report.angles)
     emb = _oracle(embed_vertices, report.edge_matrix)
-    mc = _oracle(volume_monte_carlo, emb, args.monte_carlo)
+    mc = _oracle(volume_monte_carlo, emb, MonteCarloConfig(MC_SEED, MC_SAMPLES))
     doc = _report_doc(command, report)
     doc["volume"] = {"edge_integral": _volume_block(res, err),
                      "sforza": _volume_block(sf, err), "monte_carlo": _volume_block(mc, err)}
@@ -356,40 +352,28 @@ def _cmd_volume(report, args, out, err) -> int:
     if not args.validate:
         res = volume_edges(report)
         block = _volume_block(res, err)
-        _emit_report("volume", report, args, out, lambda: {"volume": {"edge_integral": block}},
+        _emit_report("volume", report, out, lambda: {"volume": {"edge_integral": block}},
                      (res.value, res.error_estimate, res.evaluations, res.route,
                       *res.diagnostics.values()))
         return EXIT_OK
-    doc, gap, z, _ = _battery("volume", report, args, err)
+    doc, gap, z, _ = _battery("volume", report, err)
     doc["agreement"] = {"edge_vs_sforza": _check(gap, ROUTE_GAP_LIMIT, "gap"),
                         "monte_carlo_z": _check(z, MC_Z_LIMIT, "z")}
-    _emit(doc, args, out)
+    print(_dump_json(doc), file=out)
     return EXIT_OK
 
 
 def _cmd_sweep(report, args, out, err) -> int:
     profile = volume_profile(report, args.samples)
     _warn_unconverged(err, profile.converged, "a sweep segment's volume")
-    rows = [dict(zip(("t", "dVdt", "V"), row)) for row in profile]
-
-    if args.format == "json":
-        _emit({"input": {"edges": report.lengths.as_dict()}, "command": "sweep", "rows": rows},
-              args, out)
-    else:
-        print("t,dVdt,V", file=out)
-        for row in rows:
-            print(",".join(_csv_number(row[k]) for k in ("t", "dVdt", "V")), file=out)
+    print("t,dVdt,V", file=out)
+    for row in profile:
+        print(",".join(format(v, ".17g") for v in row), file=out)  # inf prints as inf
     return EXIT_OK
 
 
-def _csv_number(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
-
-
 def _cmd_validate(report, args, out, err) -> int:
-    doc, route_gap, z, emb = _battery("validate", report, args, err)
+    doc, route_gap, z, emb = _battery("validate", report, err)
     th_geo = _oracle(dihedral_angles_geometric, emb)
     angle_gap = max(abs(a - b) for a, b in zip(report.angles.as_tuple(), th_geo.as_tuple()))
     jacobi = jacobi_residuals(report.edge_matrix, report.cofactors).max_relative
@@ -402,37 +386,13 @@ def _cmd_validate(report, args, out, err) -> int:
     l34 = report.lengths.l34
     h = 1e-5 * min(1.0, l34)  # the residual's h^2 term grows as the edges shrink
     if not report.degenerate and l34 + h < report.bounds.l2:
-        resid = schlafli_residual(report, h)
+        resid, converged = schlafli_residual(report, h)
+        _warn_unconverged(err, converged, "the Schlafli residual's volume step")
         checks["schlafli_residual"] = _check(resid, SCHLAFLI_LIMIT)
     doc["checks"] = checks
     doc["pass"] = all(c["pass"] for c in checks.values())
-    _emit(doc, args, out)
-    return EXIT_OK if doc["pass"] else EXIT_NUMERICAL
-
-
-def _emit(doc: dict, args, out) -> None:
-    if args.format == "csv":
-        # flat key,value listing for non-tabular commands
-        print("key,value", file=out)
-        for key, value in _flatten(doc):
-            print(f"{key},{value}", file=out)
-        return
     print(_dump_json(doc), file=out)
-
-
-def _flatten(obj, prefix=""):
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}{k}.")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from _flatten(v, f"{prefix}{i}.")
-    else:
-        key = prefix.rstrip(".")
-        if isinstance(obj, float):
-            yield key, _csv_number(obj)
-        else:
-            yield key, str(obj).lower() if isinstance(obj, bool) else str(obj)
+    return EXIT_OK if doc["pass"] else EXIT_NUMERICAL
 
 
 # command: (handler, description)
@@ -445,13 +405,8 @@ _COMMANDS = {
 }
 # option: (attribute, value parser or None for a flag, help, the commands that
 # take it or None for every one); one table parses argv and writes the usage text
-_MONTE_CARLO = ("volume", "validate")
 _OPTIONS = {
     "--edges": ("edges", str, "inline lengths: l12=..,l13=..,l14=..,l23=..,l24=..,l34=..", None),
-    "--mc-samples": ("mc_samples", _int, f"Monte Carlo sample count (default {DEFAULT_MC_SAMPLES})",
-                     _MONTE_CARLO),
-    "--seed": ("seed", _int, f"Monte Carlo seed (default {DEFAULT_SEED})", _MONTE_CARLO),
-    "--format": ("format", str, "json or csv (default csv for sweep, json otherwise)", None),
     "--validate": ("validate", None, "add Sforza and Monte Carlo cross-checks", ("volume",)),
     "--samples": ("samples", _int, f"grid size (default {DEFAULT_SWEEP_SAMPLES})", ("sweep",)),
     "--help": ("help", None, "print this usage text and exit (also -h)", None),
@@ -486,9 +441,8 @@ def _parse_args(argv: list[str], out):
         print(_help(None), file=out)
         return None
     table, inputs, tokens = _TABLES[command], [], iter(argv[1:])
-    args = SimpleNamespace(command=command, edges=None, mc_samples=DEFAULT_MC_SAMPLES,
-                           seed=DEFAULT_SEED, format="csv" if command == "sweep" else "json",
-                           validate=False, samples=DEFAULT_SWEEP_SAMPLES)
+    args = SimpleNamespace(command=command, edges=None, validate=False,
+                           samples=DEFAULT_SWEEP_SAMPLES)
     for token in tokens:
         if token == "--":
             inputs += tokens  # every later token, dashes or not
@@ -510,8 +464,6 @@ def _parse_args(argv: list[str], out):
                 setattr(args, attr, True if parse is None else parse(value))
             except (StopIteration, ValueError):
                 raise _UsageError(f"bad or missing value for {name}: {value!r}")
-    if args.format not in ("json", "csv"):
-        raise _UsageError(f"--format takes json or csv, not {args.format!r}")
     if len(inputs) > 1:
         raise _UsageError("give at most one input document")
     args.input = inputs[0] if inputs else None
@@ -530,8 +482,6 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
         lengths = _lengths_from_document(doc)
         if args.command not in ("check", "angles"):
             _import_routes()
-        if args.command in _MONTE_CARLO:  # DomainError on a seed or sample count out of range
-            args.monte_carlo = MonteCarloConfig(seed=args.seed, samples=args.mc_samples)
         return _COMMANDS[args.command][0](exists(lengths), args, out, err)
     except (_UsageError, DomainError) as e:
         print(f"hytet: input error: {e}", file=err)
@@ -539,7 +489,7 @@ def run(argv: list[str], stdout=None, stderr=None) -> int:
     except NotATetrahedronError as e:
         print(f"hytet: not a tetrahedron: {e}", file=err)
         if getattr(e, "report", None) is not None:  # an ExistenceError's report
-            _emit_report("error", e.report, args, out)
+            _emit_report("error", e.report, out)
         return EXIT_NOT_A_TETRAHEDRON
     except (NumericalError, OverflowError) as e:
         print(f"hytet: numerical failure: {e}", file=err)

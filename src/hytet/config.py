@@ -30,11 +30,14 @@ PIVOT_TOL = 1e-10
 QUADRATURE_TOL = 1e-10
 TIGHT_QUADRATURE_TOL = 1e-13
 
-# `validate` and `volume --validate`: the limits they check, the sample cap
+# `validate` and `volume --validate`: the limits they check, their one Monte
+# Carlo setting, and the library's sample cap
 JACOBI_LIMIT = 1e-10
 ANGLE_GAP_LIMIT = 1e-9
 ROUTE_GAP_LIMIT = 1e-6
 MC_Z_LIMIT = 4.0
+MC_SEED = 42
+MC_SAMPLES = 200_000
 SCHLAFLI_LIMIT = 1e-8
 MC_SAMPLES_MAX = 10**8  # 4.6-9.2 s at 46-92 ms per 10^6 in one run (scripts/layer_times.py)
 # `volume_profile`'s sample cap (`sweep --samples`): 6.7-7.1 s and a 64 MB peak

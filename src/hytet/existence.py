@@ -38,7 +38,7 @@ from functools import cached_property
 
 from . import angles, core
 from .config import BOUNDARY_TOL
-from .errors import DomainError, NotATetrahedronError
+from .errors import DegenerateError, DomainError, NotATetrahedronError, NumericalError
 
 __all__ = ["L34Bounds", "ExistenceReport", "l34_bounds", "exists"]
 
@@ -72,6 +72,8 @@ class ExistenceReport(namedtuple("ExistenceReport", "tri_123_ok tri_124_ok bound
     accept the report in their place and then skip the test.  ``edge_matrix``,
     ``cofactors`` and ``angles`` are built from ``lengths`` on first use and
     kept, so a request that reads the report builds each at most once.
+    On a degenerate report, ``angles`` raises DegenerateError where
+    ``dihedral_angles`` finds a cosine past ``COS_CLAMP``.
     ``bounds`` is None when the faces fail or l12 is zero.
     """
 
@@ -87,7 +89,15 @@ class ExistenceReport(namedtuple("ExistenceReport", "tri_123_ok tri_124_ok bound
 
     @cached_property
     def angles(self) -> angles.DihedralAngles:
-        return angles.dihedral_angles(self.cofactors)
+        try:
+            return angles.dihedral_angles(self.cofactors)
+        except NumericalError as e:
+            # just past a bound, a slack exists accepts as flat can push a
+            # cosine past COS_CLAMP; overflowed cofactors stay a numerical failure
+            if not self.degenerate or not all(map(math.isfinite, sum(self.cofactors.c, ()))):
+                raise
+            raise DegenerateError("the configuration is flat within tolerance, where the "
+                                  f"angles are unanswerable: {e}") from e
 
 
 def _faces(l12: float, l13: float, l14: float, l23: float,

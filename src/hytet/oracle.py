@@ -92,9 +92,9 @@ class MonteCarloConfig(namedtuple("MonteCarloConfig", ("seed", "samples"))):
     """Sampling parameters for the Klein-model volume estimator.
 
     Identical (seed, samples) give bit-identical results.  The seed is an
-    integer in [0, 2**64), as on the command line (not a bool).  Samples are
-    an integer from 2 (one sample has no spread: its standard error of 0
-    would pass any check) to ``MC_SAMPLES_MAX``, which bounds the run time.
+    integer in [0, 2**64) (not a bool).  Samples are an integer from 2 (one
+    sample has no spread: its standard error of 0 would pass any check) to
+    ``MC_SAMPLES_MAX``, which bounds the run time.
     """
 
     __slots__ = ()

@@ -506,17 +506,17 @@ def volume_sforza(angles: DihedralAngles) -> VolumeResult:
     return _result_from_quadrature(outcome, "sforza", diagnostics)
 
 
-def schlafli_residual(lengths: EdgeLengths | ExistenceReport, h: float) -> float:
+def schlafli_residual(lengths: EdgeLengths | ExistenceReport, h: float) -> tuple[float, bool]:
     """Consistency defect between the volume and the angle variation.
 
     Moves the sixth edge from l34 to l34 + h and returns
 
         | V(l34 + h) - V(l34) + (1/2) sum_ij lij (theta_ij(l34 + h) - theta_ij(l34)) |
 
-    with the lengths in the sum held at their base values.  The volume
-    difference is one quadrature of dV/dt over [l34, l34 + h], at the tight
-    quadrature tolerance.  The variational identity makes the first-order
-    terms cancel exactly, so the residual of these one-sided differences
+    with the lengths in the sum held at their base values, and whether the
+    volume difference converged.  That difference is one quadrature of dV/dt
+    over [l34, l34 + h], at the tight quadrature tolerance.  The variational
+    identity makes the first-order terms cancel exactly, so the residual of these one-sided differences
     scales as h^2 (the coefficient is the derivative of the 3-4 angle, whose
     own length coefficient moves with the fold).  Requires a strictly
     interior configuration with margin for the step.  ``lengths`` may be
@@ -537,9 +537,9 @@ def schlafli_residual(lengths: EdgeLengths | ExistenceReport, h: float) -> float
         )
 
     moved = lengths.with_l34(lengths.l34 + h)
-    dv = integ.integral(lengths.l34, moved.l34, TIGHT_QUADRATURE_TOL).value
+    dv = integ.integral(lengths.l34, moved.l34, TIGHT_QUADRATURE_TOL)
     th0 = report.angles
     th1 = angles.dihedral_angles(core.cofactors(core.edge_matrix_from_lengths(moved)))
     swing = sum(l * (a1 - a0) for l, a1, a0 in
                 zip(lengths.as_tuple(), th1.as_tuple(), th0.as_tuple()))
-    return abs(dv + 0.5 * swing)
+    return abs(dv.value + 0.5 * swing), dv.converged

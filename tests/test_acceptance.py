@@ -22,6 +22,7 @@ from hytet import (
     edge_matrix_from_lengths,
     embed_vertices,
     euclidean_volume_cm,
+    exists,
     jacobi_residuals,
     l34_bounds,
     lobachevsky,
@@ -33,6 +34,7 @@ from hytet import (
 )
 from hytet.cli import run
 from hytet.config import ANGLE_GAP_LIMIT, JACOBI_LIMIT, ROUTE_GAP_LIMIT, SCHLAFLI_LIMIT
+from hytet.core import EDGE_PAIRS
 
 SEED = 20240817
 N_CASES = 100
@@ -135,8 +137,8 @@ def test_criterion_5_variational_consistency(cases):
         if L.l34 + 2e-3 >= b.l2:
             continue
         picked += 1
-        worst_resid = max(worst_resid, schlafli_residual(L, 1e-5))
-        ratios.append(schlafli_residual(L, 1e-3) / schlafli_residual(L, 1e-4))
+        worst_resid = max(worst_resid, schlafli_residual(L, 1e-5)[0])
+        ratios.append(schlafli_residual(L, 1e-3)[0] / schlafli_residual(L, 1e-4)[0])
     scaling_ok = all(100 / 3 < r < 100 * 3 for r in ratios)
     report(
         "criterion 5 (variational identity, second-order step scaling)",
@@ -190,10 +192,36 @@ def test_criterion_8_relabeling_invariance(cases):
     )
 
 
+def test_relabelings_keep_the_verdict_angles_and_volume(cases):
+    # beside criterion 8, which keeps its 1e-8 bound on the volume alone:
+    # under all 24 relabelings of the 100 cases, the same verdict, each angle
+    # on its relabeled edge, and the volume within volume_rel.  The volume's
+    # spread measured 9.9e-13 relative on these cases, a tenth of the bound
+    volume_rel = 1e-11
+    worst_angle = worst_volume = 0.0
+    for L in cases:
+        base = exists(L)
+        angle = {}
+        for (i, j), value in zip(EDGE_PAIRS, base.angles.as_tuple()):
+            angle[i, j] = angle[j, i] = value
+        volume = volume_edges(base).value
+        for sigma in itertools.permutations(range(4)):
+            moved = exists(L.relabel(sigma))
+            assert (moved.exists, moved.degenerate) == (base.exists, base.degenerate), sigma
+            for (i, j), value in zip(EDGE_PAIRS, moved.angles.as_tuple()):
+                worst_angle = max(worst_angle, abs(value - angle[sigma[i], sigma[j]]))
+            worst_volume = max(worst_volume, abs(volume_edges(moved).value / volume - 1.0))
+    report(
+        "relabelings (verdict, angles and volume under all 24)",
+        worst_angle < ANGLE_GAP_LIMIT and worst_volume < volume_rel,
+        f"100 cases x 24 relabelings: one verdict, angles within {worst_angle:.1e} "
+        f"(< {ANGLE_GAP_LIMIT:g}), volumes within {worst_volume:.1e} relative (< {volume_rel:g})",
+    )
+
+
 def test_criterion_9_cli_determinism():
     argv = [
-        "volume", "--validate", "--seed", "42", "--mc-samples", "200000",
-        "--edges", "l12=1,l13=1,l14=1,l23=1,l24=1,l34=1",
+        "volume", "--validate", "--edges", "l12=1,l13=1,l14=1,l23=1,l24=1,l34=1",
     ]
     outputs = []
     for _ in range(2):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,7 +15,7 @@ import pytest
 import hytet
 from cases import sample_lengths
 from hytet.cli import run
-from hytet.config import MC_SAMPLES_MAX, SWEEP_SAMPLES_MAX
+from hytet.config import SWEEP_SAMPLES_MAX
 
 ONES = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=1"
 # the package's public names, its submodules but cli, and the dunders of a package module
@@ -43,6 +44,13 @@ def invoke(argv):
 def invoke_json(argv):
     code, out, err = invoke(argv)
     return code, json.loads(out) if out.strip() else None, err
+
+
+@pytest.fixture
+def mc_samples(monkeypatch):
+    """Sets the Monte Carlo sample count of `validate` and `volume --validate`
+    for one test, so that a test of the CLI around the battery draws few."""
+    return lambda samples: monkeypatch.setattr(hytet.cli, "MC_SAMPLES", samples)
 
 
 class TestCheck:
@@ -95,18 +103,18 @@ class TestVolume:
             0.0905979253777242, abs=1e-9
         )
 
-    def test_validate_adds_cross_checks(self):
-        code, doc, _ = invoke_json(
-            ["volume", "--validate", "--mc-samples", "20000", "--edges", ONES]
-        )
+    def test_validate_adds_cross_checks(self, mc_samples):
+        mc_samples(20000)
+        code, doc, _ = invoke_json(["volume", "--validate", "--edges", ONES])
         assert code == 0
         assert "sforza" in doc["volume"] and "monte_carlo" in doc["volume"]
         assert doc["agreement"]["edge_vs_sforza"]["pass"] is True
         assert doc["agreement"]["monte_carlo_z"]["pass"] is True
 
-    def test_validate_deterministic_output(self):
-        argv = ["volume", "--validate", "--mc-samples", "50000",
-                "--seed", "7", "--edges", ONES]
+    def test_validate_deterministic_output(self, monkeypatch, mc_samples):
+        mc_samples(50000)
+        monkeypatch.setattr(hytet.cli, "MC_SEED", 7)
+        argv = ["volume", "--validate", "--edges", ONES]
         _, first, _ = invoke(argv)
         _, second, _ = invoke(argv)
         assert first == second
@@ -139,7 +147,7 @@ class TestAcrossTheLengthScale:
         assert doc["volume"]["edge_integral"]["value"] == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("a", [150.0, 400.0])
-    def test_overflow_is_a_numerical_failure(self, a):
+    def test_overflow_is_a_numerical_failure(self, a, mc_samples):
         # the integrand's coefficients overflow past edges of about 100, the
         # cofactors past 237, the fold bounds past 350: exit 70, never a
         # traceback or a NaN printed as an answer
@@ -147,7 +155,8 @@ class TestAcrossTheLengthScale:
         for command in ("check", "angles"):
             code, _, _ = invoke([command, "--edges", edges])
             assert code == (0 if a < 350 else 70), command
-        for command in (["volume"], ["sweep"], ["validate", "--mc-samples", "2000"]):
+        mc_samples(2000)
+        for command in (["volume"], ["sweep"], ["validate"]):
             code, out, err = invoke([*command, "--edges", edges])
             assert code == 70 and "numerical failure" in err, command
 
@@ -244,41 +253,6 @@ class TestInput:
             monkeypatch.setenv(name, value)
             assert invoke(["validate", "--edges", ONES]) == plain, name
 
-    def test_one_monte_carlo_sample_is_usage_error(self):
-        # one sample has no standard error, so z would pass vacuously
-        flag = ["--mc-samples", "1", "--edges", ONES]
-        for command in (["validate"], ["volume", "--validate"]):
-            assert invoke(command + flag) == (
-                64, "", f"hytet: input error: samples must be an integer in [2, {MC_SAMPLES_MAX}],"
-                " got 1\n")
-        code, doc, _ = invoke_json(["validate", "--mc-samples", "2", "--edges", ONES])
-        assert code != 64
-        assert doc["volume"]["monte_carlo"]["error_estimate"] > 0
-
-    @pytest.mark.parametrize("samples, echo", [
-        (MC_SAMPLES_MAX + 1, str(MC_SAMPLES_MAX + 1)),
-        # a long count is echoed as its first 20 digits and its length
-        (10 ** 400, "1" + "0" * 19 + "... (401 characters)"),
-    ], ids=["flag", "flag-1e400"])
-    def test_too_many_monte_carlo_samples_is_usage_error(self, monkeypatch, samples, echo):
-        drawn = []
-        monkeypatch.setattr(hytet.cli, "volume_monte_carlo",
-                            lambda *args: drawn.append(args))
-        flag = ["--mc-samples", str(samples), "--edges", ONES]
-        for command in (["validate"], ["volume", "--validate"]):
-            code, out, err = invoke([*command, *flag])
-            assert (code, out) == (64, "")
-            assert err == (f"hytet: input error: samples must be an integer in "
-                           f"[2, {MC_SAMPLES_MAX}], got {echo}\n")
-        assert drawn == []
-
-    def test_sample_cap_itself_is_accepted(self):
-        # volume checks the count even without --validate, when it draws no
-        # sample, so the cap is accepted at no cost
-        assert invoke(["volume", "--mc-samples", str(MC_SAMPLES_MAX), "--edges", ONES])[0] == 0
-        assert invoke(["volume", "--mc-samples", str(MC_SAMPLES_MAX + 1),
-                       "--edges", ONES])[0] == 64
-
     @pytest.mark.parametrize("command", ["check", "angles", "volume", "sweep", "validate",
                                          "volume --validate"])
     @pytest.mark.parametrize("config", [{"tol": 1e-9, "mc_samples": 2000, "seed": 7}, {},
@@ -298,8 +272,7 @@ class TestInput:
         path = tmp_path / "input.json"
         path.write_text(json.dumps({"input": doc} if wrapped else doc))
         assert invoke([*command.split(), str(path)]) == (
-            64, "", 'hytet: input error: the input document takes no "config": '
-            "give --mc-samples or --seed instead\n")
+            64, "", 'hytet: input error: the input document takes no "config"\n')
 
     @pytest.mark.parametrize("raw", [True, 10 ** 400], ids=["true", "1e400"])
     def test_malformed_edge_value_is_usage_error(self, tmp_path, raw):
@@ -324,8 +297,8 @@ class TestInput:
         elif source == "document":
             doc["edges"]["l12"] = text
         elif source == "flag":
-            argv.append(f"--mc-samples={text}")
-            message = f"bad or missing value for --mc-samples: {text!r}"
+            argv = ["sweep", str(tmp_path / "input.json"), f"--samples={text}"]
+            message = f"bad or missing value for --samples: {text!r}"
         else:  # no setting reads the environment, which so has no number text to refuse
             (tmp_path / "input.json").write_text(json.dumps(doc))
             plain = invoke(argv)
@@ -337,25 +310,24 @@ class TestInput:
 
     @pytest.mark.parametrize("name, source, text, number", [
         (name, source, text, number)
-        for name, source in [("mc_samples", "flag"), ("mc_samples", "environment"),
-                             ("seed", "flag"), ("seed", "environment"), ("samples", "flag")]
+        for name, source in [("mc_samples", "environment"), ("seed", "environment"),
+                             ("samples", "flag")]
         for text, number in [("20.0", 20), ("2e1", 20), ("18446744073709551615.0", 2 ** 64 - 1),
                              ("1.5", None), ("nan", None), ("inf", None)]
         if not (name == "samples" and number == 2 ** 64 - 1)  # a sweep that long never ends
     ])
     def test_whole_number_text_reads_as_its_json_number(
-            self, tmp_path, monkeypatch, name, source, text, number):
-        # one parser on every path; it reads text exactly, so the largest seed
-        # stays 2**64 - 1, where a float would round it up to 2**64.  The
-        # environment is no path: a variable of the setting's name changes nothing
+            self, tmp_path, monkeypatch, mc_samples, name, source, text, number):
+        # one parser reads --samples, and it reads text exactly.  The
+        # environment is no path: a variable of a setting's name changes nothing
         path = tmp_path / "input.json"
         flag = "--" + name.replace("_", "-")
+        if name == "seed":
+            mc_samples(20)
 
         def request(value):
             doc = {"edges": {k: 1.0 for k in hytet.EDGE_KEYS}}
-            argv = (["sweep", str(path)] if name == "samples" else
-                    ["volume", "--validate", str(path)]
-                    + ([] if name == "mc_samples" else ["--mc-samples", "20"]))
+            argv = ["sweep", str(path)] if name == "samples" else ["volume", "--validate", str(path)]
             if source == "flag":
                 argv.append(f"{flag}={value}")
             elif value is not None:
@@ -373,7 +345,7 @@ class TestInput:
             return
         answer = request(text)
         assert answer == request(number)
-        assert answer[0] == (64 if name == "mc_samples" and number > MC_SAMPLES_MAX else 0)
+        assert answer[0] == 0
 
     @pytest.mark.parametrize("text, message", [
         (b"\xff\xfe{}", "cannot read input file"),
@@ -496,11 +468,28 @@ class TestJsonTemplates:
             assert out == hytet.cli._dump_json(doc) + "\n", case
             assert json.loads(out) == doc, case  # every float exactly
             assert code == (0 if doc["existence"]["exists"] else 2)
-            csv_code, csv, _ = invoke([command, "--format", "csv", "--edges", edges])
-            assert (csv_code, csv) == (code, "key,value\n" + "".join(
-                f"{key},{value}\n" for key, value in hytet.cli._flatten(doc))), case
-            shapes.add(tuple(key for key, _ in hytet.cli._flatten(doc)))
+            shapes.add(self.layout(doc))
         assert len(hytet.cli._TEMPLATES) == len(shapes)  # one template per key layout
+
+    @pytest.mark.parametrize("command", ["check", "angles", "volume", "sweep", "validate",
+                                         "volume --validate"])
+    def test_a_refusal_prints_its_json_document(self, command):
+        # one output format: check prints its own report, every other command
+        # the error document, with the failed condition on stderr
+        edges = self.CASES["l34_upper"]
+        doc = self.dict_document("check" if command == "check" else "angles", edges)
+        code, out, err = invoke([*command.split(), "--edges", edges])
+        assert (code, out) == (2, hytet.cli._dump_json(doc) + "\n")
+        assert doc["command"] == ("check" if command == "check" else "error")
+        assert err == ("" if command == "check" else "hytet: not a tetrahedron: no compact "
+                       "hyperbolic tetrahedron has these edge lengths: l34_upper\n")
+
+    @classmethod
+    def layout(cls, doc):
+        """The document's keys and list lengths, nested as in the document."""
+        if isinstance(doc, dict):
+            return tuple((key, cls.layout(value)) for key, value in doc.items())
+        return tuple(map(cls.layout, doc)) if isinstance(doc, list) else None
 
     def test_clamped_case_clamps(self):
         _, doc, _ = invoke_json(["angles", "--edges", self.CASES["clamped"]])
@@ -543,15 +532,14 @@ class TestSweep:
 
     def test_refuses_what_volume_refuses(self):
         # sweep runs the existence test of volume, so a non-tetrahedron
-        # gets the same exit code, message and error document from both,
-        # written in the request's format: CSV is sweep's default
+        # gets the same exit code, message and JSON error document from both
         far = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=2"
         code, out, err = invoke(["sweep", "--samples", "3", "--edges", far])
-        v_code, v_out, v_err = invoke(["volume", "--format", "csv", "--edges", far])
+        v_code, v_out, v_err = invoke(["volume", "--edges", far])
         assert code == v_code == 2
         assert out == v_out and err == v_err
         assert "l34_upper" in err
-        assert out.splitlines()[:2] == ["key,value", "command,error"]
+        assert json.loads(out)["command"] == "error"
         # and both answer at a = 0.01, where they used to exit 70 together
         short = "l12=0.01,l13=0.01,l14=0.01,l23=0.01,l24=0.01,l34=0.01"
         code, out, _ = invoke(["sweep", "--samples", "3", "--edges", short])
@@ -576,37 +564,6 @@ class TestSweep:
             64, "", f"hytet: input error: a volume profile needs 2 to {SWEEP_SAMPLES_MAX} "
                     "samples, got 1\n")
 
-    def test_json_format(self):
-        code, doc, _ = invoke_json(
-            ["sweep", "--samples", "5", "--format", "json", "--edges", ONES]
-        )
-        assert code == 0
-        assert len(doc["rows"]) == 5
-        assert doc["rows"][0]["dVdt"] == "inf"
-
-
-class TestCsvFormat:
-    def test_non_sweep_commands_print_key_value_rows(self):
-        code, out, _ = invoke(["check", "--format", "csv", "--edges", ONES])
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "key,value"
-        for row in ("existence.exists,true", "existence.bounds.l1,0",
-                    "existence.bounds.clamped_sqrt,false"):
-            assert row in lines
-        code, out, _ = invoke(["angles", "--format", "csv", "--edges", ONES])
-        assert code == 0
-        assert any(line.startswith("angles.radians.th12,") for line in out.splitlines())
-
-    @pytest.mark.parametrize("command", ["check", "angles", "volume"])
-    def test_refusal_prints_its_report_in_the_requested_format(self, command):
-        far = "l12=1,l13=1,l14=1,l23=1,l24=1,l34=2"
-        code, out, _ = invoke([command, "--format", "csv", "--edges", far])
-        assert code == 2
-        lines = out.splitlines()
-        assert lines[0] == "key,value"
-        assert "existence.failed.0,l34_upper" in lines
-
 
 class TestAngles:
     def test_radians_and_degrees(self):
@@ -627,10 +584,9 @@ class TestAngles:
 
 
 class TestValidate:
-    def test_all_ones_passes(self):
-        code, doc, _ = invoke_json(
-            ["validate", "--mc-samples", "50000", "--edges", ONES]
-        )
+    def test_all_ones_passes(self, mc_samples):
+        mc_samples(50000)
+        code, doc, _ = invoke_json(["validate", "--edges", ONES])
         assert code == 0
         assert doc["pass"] is True
         assert all(block["pass"] for block in doc["checks"].values())
@@ -655,11 +611,11 @@ class TestValidate:
 class TestQuadratureWarning:
     @pytest.mark.parametrize("command", [["volume"], ["volume", "--validate"], ["sweep"],
                                          ["validate"]])
-    def test_unconverged_quadrature_warns_on_stderr(self, command, monkeypatch):
+    def test_unconverged_quadrature_warns_on_stderr(self, command, monkeypatch, mc_samples):
         from hytet import quadrature
 
-        argv = [*command, *([] if command == ["sweep"] else ["--mc-samples", "2000"]),
-                "--edges", ONES]
+        mc_samples(2000)
+        argv = [*command, "--edges", ONES]
         code, out, err = invoke(argv)
         assert (code, err) == (0, "")
         integrate = quadrature.integrate
@@ -668,7 +624,57 @@ class TestQuadratureWarning:
         code, capped, err = invoke(argv)
         assert code == 0
         assert err.startswith("hytet: warning:") and "panel cap" in err
+        assert ("Schlafli" in err) == (command == ["validate"])
         assert capped == out.replace('"converged": true', '"converged": false')
+
+
+class TestFoldBand:
+    """Lengths that exists accepts as flat, within the boundary tolerance of
+    a bound: no command answers them with an internal failure (exit 70)."""
+
+    # l34 1.1e-13 past l2; the cosine of the angle along edge 1-2 reads -1 - 4.2e-11
+    EXAMPLE = ("l12=0.007468550643548515,l13=0.005076026967728188,l14=0.007045129400578292,"
+               "l23=0.007498529150978385,l24=0.0073509030150516845,l34=0.011071420160577146")
+    COMMANDS = (["angles"], ["volume"], ["sweep"], ["validate"], ["volume", "--validate"])
+
+    @pytest.mark.parametrize("command", [["angles"], ["validate"], ["volume", "--validate"]],
+                             ids=" ".join)
+    def test_a_cosine_past_the_clamp_exits_2(self, command):
+        code, doc, _ = invoke_json(["check", "--edges", self.EXAMPLE])
+        assert code == 0 and doc["existence"]["degenerate"] is True
+        code, out, err = invoke([*command, "--edges", self.EXAMPLE])
+        assert (code, out) == (2, "")
+        assert err.startswith("hytet: not a tetrahedron: the configuration is flat within "
+                              "tolerance, where the angles are unanswerable: cosine of the "
+                              "angle along edge 1-2 is ")
+
+    @staticmethod
+    def band(d):
+        """Five lengths of each of 5 draws at 4 scales, with l34 moved past a
+        fold bound by d relative, and with l23 moved past l12 + l13 by d
+        relative, l34 at the value that the flat face pins."""
+        rng = np.random.default_rng(20240817)
+        for scale in (0.01, 0.1, 1.0, 4.0):
+            for _ in range(5):
+                l12, l13, l14, l23, l24, _ = (scale * v for v in sample_lengths(rng))
+                bounds = hytet.l34_bounds(l12, l13, l14, l23, l24)
+                yield l12, l13, l14, l23, l24, bounds.l2 * (1 + d)
+                yield l12, l13, l14, l23, l24, bounds.l1 * (1 - d)
+                bounds = hytet.l34_bounds(l12, l13, l14, l12 + l13, l24)
+                yield l12, l13, l14, (l12 + l13) * (1 + d), l24, bounds.l2
+
+    @pytest.mark.parametrize("d", [1e-13, 3e-13, 1e-12, 1e-11])
+    def test_no_accepted_input_exits_70(self, d):
+        accepted = 0
+        for lengths in self.band(d):
+            edges = ",".join(f"{k}={v!r}" for k, v in zip(hytet.EDGE_KEYS, lengths))
+            if invoke(["check", "--edges", edges])[0] != 0:
+                continue
+            accepted += 1
+            for command in self.COMMANDS:
+                code, _, err = invoke([*command, "--edges", edges])
+                assert code != 70, (command, edges, err)
+        assert accepted >= 20  # of 60: all of them up to d = 1e-12, 21 at 1e-11
 
 
 class TestArgv:
@@ -677,11 +683,11 @@ class TestArgv:
     other misuse is a usage error."""
 
     OWN = {
-        "check": ["--edges", "--format", "--help"],
-        "angles": ["--edges", "--format", "--help"],
-        "volume": ["--edges", "--mc-samples", "--seed", "--format", "--validate", "--help"],
-        "sweep": ["--edges", "--format", "--samples", "--help"],
-        "validate": ["--edges", "--mc-samples", "--seed", "--format", "--help"],
+        "check": ["--edges", "--help"],
+        "angles": ["--edges", "--help"],
+        "volume": ["--edges", "--validate", "--help"],
+        "sweep": ["--edges", "--samples", "--help"],
+        "validate": ["--edges", "--help"],
     }
 
     @pytest.mark.parametrize("command", OWN)
@@ -690,44 +696,48 @@ class TestArgv:
         assert code == 0
         listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
         assert listed == self.OWN[command]
-        # no command takes --tol: the quadrature tolerance is hytet.config's alone
-        options = {"--tol", *(name for names in self.OWN.values() for name in names)}
+        # no command takes --tol, --format, --mc-samples or --seed: each
+        # command has one output format, and hytet.config holds the settings
+        options = {"--tol", "--format", "--mc-samples", "--seed",
+                   *(name for names in self.OWN.values() for name in names)}
         for option in options - set(listed):
             assert invoke([command, option, "2", "--edges", ONES]) == (
                 64, "", f"hytet: input error: unrecognized option {option}\n"), option
 
     @pytest.mark.parametrize("command, option, value", [
         ("check", "--edges", ONES),
-        ("validate", "--format", "csv"),
-        ("validate", "--mc-samples", "3000"),
-        ("validate", "--seed", "7"),
-        ("angles", "--format", "csv"),
         ("sweep", "--samples", "5"),
     ])
     def test_both_option_forms_agree(self, command, option, value):
         rest = [] if option == "--edges" else ["--edges", ONES]
-        if command == "validate" and option != "--mc-samples":
-            rest += ["--mc-samples", "2000"]
         spaced = invoke([command, option, value, *rest])
         assert spaced[0] == 0
         assert invoke([command, f"{option}={value}", *rest]) == spaced
         if option != "--edges":  # the option took effect
             assert invoke([command, *rest]) != spaced
 
+    @pytest.mark.parametrize("option", ["--format", "--mc-samples", "--seed"])
+    @pytest.mark.parametrize("command", ["check", "angles", "volume", "sweep", "validate",
+                                         "volume --validate"])
+    def test_a_removed_setting_is_refused_in_every_form(self, tmp_path, command, option):
+        # each command has one output format and the battery one Monte Carlo
+        # setting, so these are unknown options, refused before the input is read
+        refusal = (64, "", f"hytet: input error: unrecognized option {option}\n")
+        for argv in ([option, "2", "--edges", ONES], [f"{option}=2", "--edges", ONES],
+                     ["--edges", ONES, option], [option, "json", str(tmp_path / "none.json")]):
+            assert invoke([*command.split(), *argv]) == refusal, argv
+
     def test_repeated_option_takes_the_last_value(self):
-        code, doc, _ = invoke_json(["volume", "--validate", "--seed", "3", "--seed=7",
-                                    "--mc-samples", "2000", "--format", "csv",
-                                    "--format", "json", "--edges", "l12=3", "--edges", ONES])
-        assert code == 0
-        assert doc["volume"]["monte_carlo"]["diagnostics"]["seed"] == 7
+        assert invoke(["sweep", "--samples", "3", "--samples=5", "--edges", "l12=3",
+                       "--edges", ONES]) == invoke(["sweep", "--samples", "5", "--edges", ONES])
 
     def test_an_abbreviated_option_is_refused(self):
         # a prefix used to name the option, so a per-command table would have
         # turned sweep --s from a refusal into --samples
         for argv, name in [
             (["validate", "--mc-s", "2000", "--edges", ONES], "--mc-s"),
-            (["validate", "--mc-samples=2000", "--ed", ONES], "--ed"),
-            (["sweep", "--s", "3", "--edges", ONES], "--s"),  # was ambiguous with --seed
+            (["validate", "--ed", ONES], "--ed"),
+            (["sweep", "--s", "3", "--edges", ONES], "--s"),
             (["sweep", "--edges", ONES, "--he"], "--he"),
             (["--he"], "--he"),
         ]:
@@ -739,10 +749,10 @@ class TestArgv:
         assert invoke(["check", "--", "--doc.json"]) == invoke(["check", "--edges", ONES])
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--s", "3", "--edges", ONES],              # neither --samples nor --seed
+        ["sweep", "--s", "3", "--edges", ONES],              # a prefix of --samples
         ["check", "--frobnicate", "--edges", ONES],
         ["check", "--edges"],
-        ["volume", "--seed", "1.5", "--edges", ONES],
+        ["sweep", "--samples", "1.5", "--edges", ONES],
         ["volume", "--tol", "x", "--edges", ONES],
         ["check", "--format", "xml", "--edges", ONES],
         ["check", "--validate", "--edges", ONES],
@@ -773,10 +783,9 @@ class TestArgv:
 class TestRunState:
     """Successive runs share no state: each request parses its own argv."""
 
-    def test_validate_flag_does_not_carry_over(self):
-        code, doc, _ = invoke_json(
-            ["volume", "--validate", "--mc-samples", "2000", "--edges", ONES]
-        )
+    def test_validate_flag_does_not_carry_over(self, mc_samples):
+        mc_samples(2000)
+        code, doc, _ = invoke_json(["volume", "--validate", "--edges", ONES])
         assert code == 0 and "agreement" in doc
         code, doc, _ = invoke_json(["volume", "--edges", ONES])
         assert code == 0
@@ -805,11 +814,12 @@ class TestOneExistenceTest:
         ["check"],
         ["angles"],
         ["volume"],
-        ["volume", "--validate", "--mc-samples", "2000"],
-        ["validate", "--mc-samples", "2000"],
+        ["volume", "--validate"],
+        ["validate"],
         ["sweep", "--samples", "5"],
     ], ids=" ".join)
-    def test_exists_runs_once(self, monkeypatch, command, edges):
+    def test_exists_runs_once(self, monkeypatch, mc_samples, command, edges):
+        mc_samples(2000)
         calls = []
         # counted where each caller looks the function up
         for module in (hytet.cli, hytet.volume):
@@ -838,23 +848,25 @@ class TestOneBattery:
     ROUTES = ("exists", "volume_edges", "volume_sforza", "embed_vertices", "volume_monte_carlo")
 
     @pytest.mark.parametrize("command", [["validate"], ["volume", "--validate"]], ids=" ".join)
-    def test_each_route_runs_once(self, monkeypatch, command):
+    def test_each_route_runs_once(self, monkeypatch, mc_samples, command):
+        mc_samples(2000)
         calls = []
         for name in self.ROUTES:  # counted where the CLI looks each one up
             def counted(*args, name=name, fn=getattr(hytet.cli, name)):
                 calls.append(name)
                 return fn(*args)
             monkeypatch.setattr(hytet.cli, name, counted)
-        code, _, _ = invoke([*command, "--mc-samples", "2000", "--edges", ONES])
+        code, _, _ = invoke([*command, "--edges", ONES])
         assert code == 0
         assert sorted(calls) == sorted(self.ROUTES)
 
-    def test_both_commands_report_the_first_failing_route(self):
+    def test_both_commands_report_the_first_failing_route(self, mc_samples):
         # at regular a = 30 Sforza's integrand and the embedding both fail;
         # Sforza comes first in the battery's order
+        mc_samples(2000)
         edges = ",".join(f"{k}=30" for k in hytet.EDGE_KEYS)
-        validate = invoke(["validate", "--mc-samples", "2000", "--edges", edges])
-        volume = invoke(["volume", "--validate", "--mc-samples", "2000", "--edges", edges])
+        validate = invoke(["validate", "--edges", edges])
+        volume = invoke(["volume", "--validate", "--edges", edges])
         assert validate[0] == volume[0] == 64
         assert validate[2] == volume[2]
         assert "logarithm argument is not positive" in volume[2]
@@ -864,25 +876,27 @@ class TestOneBattery:
 
     @pytest.mark.parametrize("a", [1e-3, 1e-2, 0.1, 1.0, 10.0, 15.0, 18.0, 19.0, 25.0, 30.0,
                                    50.0, 100.0])
-    def test_valid_regular_tetrahedra_never_exit_2(self, a):
+    def test_valid_regular_tetrahedra_never_exit_2(self, a, mc_samples):
         # exists accepts every regular tetrahedron; an oracle that cannot
         # follow it there refuses the lengths as outside its domain
+        mc_samples(2000)
         self.assert_never_exit_2(",".join(f"{k}={a!r}" for k in hytet.EDGE_KEYS))
 
 
     @pytest.mark.parametrize("scale", [(12.0, 20.0), (20.0, 40.0), (40.0, 80.0)],
                              ids=["12-20", "20-40", "40-80"])
-    def test_valid_generator_tetrahedra_never_exit_2(self, scale):
+    def test_valid_generator_tetrahedra_never_exit_2(self, scale, mc_samples):
         # the generator rows of the regular test above: scalene tetrahedra
         # that exists accepts.  Exit 70 still stands on some of them (failed
         # checks, not refusals), so only 2 is ruled out
+        mc_samples(2000)
         rng = np.random.default_rng(20)
         for _ in range(10):
             lengths = sample_lengths(rng, *scale)
             self.assert_never_exit_2(",".join(f"{k}={v!r}" for k, v in lengths.as_dict().items()))
 
     def assert_never_exit_2(self, edges):
-        code, _, err = invoke(["validate", "--mc-samples", "2000", "--edges", edges])
+        code, _, err = invoke(["validate", "--edges", edges])
         assert code != 2, (edges, err)
         if code == 64:
             assert err.startswith("hytet: input error: the lengths lie outside the domain of "
@@ -902,10 +916,11 @@ class TestOneRecord:
         (["volume"], 0),
         (["sweep", "--samples", "5"], 0),
         (["angles"], 1),
-        (["volume", "--validate", "--mc-samples", "2000"], 1),
-        (["validate", "--mc-samples", "2000"], 2),
+        (["volume", "--validate"], 1),
+        (["validate"], 2),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-    def test_builds_per_request(self, monkeypatch, command, builds):
+    def test_builds_per_request(self, monkeypatch, mc_samples, command, builds):
+        mc_samples(2000)
         calls = []
         # counted at every binding of each name under src/
         for module in (hytet.core, hytet.angles, hytet.cli, hytet.volume, hytet.existence):
@@ -1080,18 +1095,37 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["existence"]["exists"] is True
         assert os.environ["OPENBLAS_NUM_THREADS"] == (preset or "1")
 
-    def test_run_leaves_the_environment_unchanged(self):
+    def test_run_leaves_the_environment_unchanged(self, mc_samples):
+        mc_samples(2000)
         before = dict(os.environ)
-        code, _, _ = invoke(["validate", "--mc-samples", "2000", "--edges", ONES])
+        code, _, _ = invoke(["validate", "--edges", ONES])
         assert code == 0 and dict(os.environ) == before
 
     def test_openblas_threads_do_not_change_the_output(self):
-        # 70,000 samples split their blocks on two CPUs
-        outs = [self.process(["validate", "--mc-samples", "70000", "--edges", ONES],
+        # validate's 200,000 samples split their blocks on two CPUs
+        outs = [self.process(["validate", "--edges", ONES],
                              subprocess.PIPE, OPENBLAS_NUM_THREADS=threads)
                 for threads in ("1", "2")]
         assert [proc.returncode for proc in outs] == [0, 0]
         assert outs[0].stdout == outs[1].stdout
+
+
+class TestReadme:
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def test_flags_table_lists_what_each_help_prints(self):
+        readme = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| flag | meaning | commands that take it |\n", 1)[1]
+        listed = {command: set() for command in hytet.cli._COMMANDS}
+        for row in table.split("\n\n", 1)[0].splitlines()[1:]:
+            flags, _, commands = row.strip("|").split(" | ")
+            takers = listed if commands.strip() == "all" else re.findall(r"`(\w+)`", commands)
+            for command in takers:
+                listed[command].update(re.findall(r"`(--[a-z-]+)`", flags))
+        for command, flags in listed.items():
+            _, out, _ = invoke([command, "--help"])
+            assert flags == {line.split()[0] for line in out.splitlines()
+                             if line.startswith("  --")}, command
 
 
 class TestScripts:

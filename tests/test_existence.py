@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from cases import sample_lengths
 from hytet import (
+    DegenerateError,
     DomainError,
     EdgeLengths,
     NotATetrahedronError,
+    NumericalError,
     cofactors,
+    dihedral_angles,
     edge_matrix_from_lengths,
     exists,
     l34_bounds,
@@ -124,6 +127,24 @@ class TestExists:
         # the same faces without the excess are flat and pin l34 = 3
         flat = exists(EdgeLengths(1, 2, 1, 1, 2, 3))
         assert flat.exists and flat.degenerate
+
+    def test_fold_band_angles_are_degenerate(self):
+        # l34 1.1e-13 past l2, accepted as flat: a cosine overshoots COS_CLAMP,
+        # which dihedral_angles reports as inconsistent and the report as flat
+        L = EdgeLengths(0.007468550643548515, 0.005076026967728188, 0.007045129400578292,
+                        0.007498529150978385, 0.0073509030150516845, 0.011071420160577146)
+        report = exists(L)
+        assert report.exists and report.degenerate
+        with pytest.raises(NumericalError):
+            dihedral_angles(report.cofactors)
+        with pytest.raises(DegenerateError, match="flat within tolerance"):
+            report.angles
+        # at the fold bound of regular faces of edge 240 the cofactors
+        # overflow, which stays a numerical failure
+        long = exists(EdgeLengths(*(240.0,) * 5, l34_bounds(*(240.0,) * 5).l2))
+        assert long.exists and long.degenerate
+        with pytest.raises(NumericalError, match="cofactor norm inf"):
+            long.angles
 
     def test_verdict_invariant_under_relabelings(self, rng):
         for _ in range(5):

@@ -343,12 +343,13 @@ class TestSchlafliResidual:
     @pytest.mark.parametrize("l34", [1.0, 1.3])
     def test_small_residual_at_h_1e5(self, l34):
         L = EdgeLengths(**FIVE_ONES, l34=l34)
-        assert schlafli_residual(L, 1e-5) < 1e-8
+        resid, converged = schlafli_residual(L, 1e-5)
+        assert resid < 1e-8 and converged
 
     def test_second_order_scaling(self):
         L = EdgeLengths(**FIVE_ONES, l34=1.0)
-        r3 = schlafli_residual(L, 1e-3)
-        r4 = schlafli_residual(L, 1e-4)
+        r3 = schlafli_residual(L, 1e-3)[0]
+        r4 = schlafli_residual(L, 1e-4)[0]
         ratio = r3 / r4
         assert 100 / 3 < ratio < 100 * 3
 
@@ -362,10 +363,10 @@ class TestSchlafliResidual:
         # moves the residual to 3.8e-8 at a = 1
         node = volume_module._EdgeIntegrand.quadrature_node
         L = EdgeLengths(*(a,) * 6)
-        assert schlafli_residual(L, 1e-5) < SCHLAFLI_LIMIT
+        assert schlafli_residual(L, 1e-5)[0] < SCHLAFLI_LIMIT
         monkeypatch.setattr(volume_module._EdgeIntegrand, "quadrature_node",
                             lambda self, *args: 1.1 * node(self, *args))
-        assert schlafli_residual(L, 1e-5) > SCHLAFLI_LIMIT
+        assert schlafli_residual(L, 1e-5)[0] > SCHLAFLI_LIMIT
 
 
 class TestReportInPlaceOfLengths:
